@@ -236,16 +236,23 @@ fn warm_serving_loop_is_allocation_free() {
     });
 
     // uneven interleaved-client windows, so the coalesced forward and
-    // the per-request reply split both get exercised
-    let windows: [std::ops::Range<usize>; 3] = [0..7, 7..12, 12..24];
+    // the per-request reply split both get exercised; the last one is an
+    // Objectives twin of the first, which rides that batch and reuses
+    // its staged rows
+    let windows: [(PredictKind, std::ops::Range<usize>); 4] = [
+        (PredictKind::Scores, 0..7),
+        (PredictKind::Scores, 7..12),
+        (PredictKind::Scores, 12..24),
+        (PredictKind::Objectives, 0..7),
+    ];
     let mut round = |request_id: u64| {
-        for (i, window) in windows.iter().enumerate() {
+        for (i, (kind, window)) in windows.iter().enumerate() {
             let mut buf = queue.take_arch_buf();
             buf.extend_from_slice(&archs[window.clone()]);
             queue
                 .push(Pending {
                     request_id: request_id + i as u64,
-                    kind: PredictKind::Scores,
+                    kind: *kind,
                     model: Arc::clone(&model),
                     slot: 0,
                     archs: buf,
@@ -254,9 +261,13 @@ fn warm_serving_loop_is_allocation_free() {
                 })
                 .expect("queue has room");
         }
-        while worker.try_run_once(&queue) {}
+        let mut batches = 0;
+        while worker.try_run_once(&queue) {
+            batches += 1;
+        }
+        assert_eq!(batches, 1, "every window, twin included, shares one batch");
     };
-    // warm-up: queue ring, arch pool, worker staging/output/frame
+    // warm-up: queue ring, arch pool, worker staging/offset/output/frame
     // buffers and the engine arena reach steady state
     for r in 0..5 {
         round(r * 10);

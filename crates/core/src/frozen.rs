@@ -392,7 +392,7 @@ impl FrozenModel {
     /// scratch vectors — so a caller that owns one outright (the serving
     /// workers in `hwpr-serve`) can keep it warm across *different*
     /// engines, including across a hot-swap to a freshly compiled model,
-    /// and drive the `*_with` prediction entry points allocation-free.
+    /// and drive [`Self::predict_into_with`] allocation-free.
     pub fn take_arena(&self) -> InferArena {
         self.checkout()
     }
@@ -484,33 +484,58 @@ impl FrozenModel {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         let mut arena = self.checkout();
-        let result = self.predict_scores_into_with(cache, archs, slot, out, &mut arena);
+        let result = self.predict_into_with(cache, archs, slot, Some(out), None, &mut arena);
         self.arenas.lock().push(arena);
         result
     }
 
-    /// [`Self::predict_scores_into`] against a caller-owned arena instead
-    /// of the engine's pool — the form the serving workers use so one
-    /// warmed arena survives model hot-swaps.
+    /// Pareto scores and predicted `(accuracy %, latency ms)` pairs for
+    /// `archs` from one forward pass, appended to whichever of `scores`
+    /// and `objectives` is given, against a caller-owned arena instead of
+    /// the engine's pool. The serving workers call this with both columns
+    /// so a Scores and an Objectives request for the same rows share one
+    /// forward, and keep one warmed arena across model hot-swaps.
     ///
     /// # Errors
     ///
     /// Returns an error when `slot` is out of range or a forward fails.
-    pub fn predict_scores_into_with(
+    pub fn predict_into_with(
         &self,
         cache: &EncodingCache,
         archs: &[Architecture],
         slot: usize,
-        out: &mut Vec<f64>,
+        mut scores: Option<&mut Vec<f64>>,
+        mut objectives: Option<&mut Vec<(f64, f64)>>,
         arena: &mut InferArena,
     ) -> Result<()> {
         self.check_slot(slot)?;
         let _span = hwpr_obs::span_labeled("infer.frozen", self.precision.label());
-        out.reserve(archs.len());
+        if let Some(out) = scores.as_deref_mut() {
+            out.reserve(archs.len());
+        }
+        if let Some(out) = objectives.as_deref_mut() {
+            out.reserve(archs.len());
+        }
         for chunk in archs.chunks(self.batch) {
             let timer = ChunkTimer::start();
             let (score, accuracy, latency) = self.forward_chunk(cache, arena, chunk, slot)?;
-            out.extend(score.as_slice().iter().map(|&v| v as f64));
+            if let Some(out) = scores.as_deref_mut() {
+                out.extend(score.as_slice().iter().map(|&v| v as f64));
+            }
+            if let Some(out) = objectives.as_deref_mut() {
+                out.extend(
+                    accuracy
+                        .as_slice()
+                        .iter()
+                        .zip(latency.as_slice())
+                        .map(|(&a, &l)| {
+                            (
+                                denorm_accuracy(a),
+                                denorm_latency(l, self.max_latency[slot]),
+                            )
+                        }),
+                );
+            }
             arena.pool.put(score);
             arena.pool.put(accuracy);
             arena.pool.put(latency);
@@ -585,43 +610,9 @@ impl FrozenModel {
         out: &mut Vec<(f64, f64)>,
     ) -> Result<()> {
         let mut arena = self.checkout();
-        let result = self.predict_objectives_into_with(cache, archs, slot, out, &mut arena);
+        let result = self.predict_into_with(cache, archs, slot, None, Some(out), &mut arena);
         self.arenas.lock().push(arena);
         result
-    }
-
-    /// [`Self::predict_objectives_into`] against a caller-owned arena —
-    /// see [`Self::predict_scores_into_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `slot` is out of range or a forward fails.
-    pub fn predict_objectives_into_with(
-        &self,
-        cache: &EncodingCache,
-        archs: &[Architecture],
-        slot: usize,
-        out: &mut Vec<(f64, f64)>,
-        arena: &mut InferArena,
-    ) -> Result<()> {
-        self.check_slot(slot)?;
-        let _span = hwpr_obs::span_labeled("infer.frozen", self.precision.label());
-        out.reserve(archs.len());
-        for chunk in archs.chunks(self.batch) {
-            let timer = ChunkTimer::start();
-            let (score, accuracy, latency) = self.forward_chunk(cache, arena, chunk, slot)?;
-            for (&a, &l) in accuracy.as_slice().iter().zip(latency.as_slice()) {
-                out.push((
-                    denorm_accuracy(a),
-                    denorm_latency(l, self.max_latency[slot]),
-                ));
-            }
-            arena.pool.put(score);
-            arena.pool.put(accuracy);
-            arena.pool.put(latency);
-            timer.finish(self.prepacked_gemms, chunk.len());
-        }
-        Ok(())
     }
 
     /// [`Self::predict_full`] split across scoped worker threads. Each

@@ -18,7 +18,8 @@
 //!   into one batched SoA forward before a configurable deadline
 //!   (`HWPR_SERVE_MAX_BATCH` / `HWPR_SERVE_BATCH_DEADLINE_US`), so the
 //!   server enters the frozen engine at batch 64 even when every client
-//!   sends batch 1;
+//!   sends batch 1; a request of the other kind for an identical row
+//!   list rides the same forward at no extra row cost;
 //! - [`server`] / [`client`] — the blocking TCP acceptor/worker runtime
 //!   and a pipelining-capable client.
 //!

@@ -17,6 +17,14 @@
 //! head slot and prediction kind — so requests split across a hot-swap
 //! never share a forward, and a batch's rows all come from one engine.
 //!
+//! A request of the *other* kind whose architecture list equals one
+//! rider's (its *twin*: the Objectives half of a client's Scores +
+//! Objectives pair) joins the batch too, whatever its size. It adds no
+//! rows — the worker stages each distinct list once and one forward
+//! yields both the score and the `(accuracy, latency)` column — so it
+//! cannot displace or delay unrelated rows. Twins follow the same model
+//! `Arc` and slot rule as riders.
+//!
 //! Requests are shed with an explicit `Overloaded` reply in two places:
 //! at admission when the queue already holds `queue_cap` requests, and
 //! at execution when a request sat queued longer than `request_timeout`.
@@ -172,6 +180,17 @@ impl BatchQueue {
         Arc::ptr_eq(&a.model, &b.model) && a.slot == b.slot && a.kind == b.kind
     }
 
+    /// Whether `p` asks the other kind for exactly the rows of one of
+    /// `riders` (which all share the leader's model, slot and kind).
+    fn is_twin(p: &Pending, riders: &[Pending]) -> bool {
+        let leader = &riders[0];
+        Arc::ptr_eq(&p.model, &leader.model)
+            && p.slot == leader.slot
+            && p.kind != leader.kind
+            // slice equality compares lengths before any architecture
+            && riders.iter().any(|r| r.archs == p.archs)
+    }
+
     /// Blocks until a batch is ready (or the queue shuts down), then
     /// moves the leader and every compatible follower — up to the
     /// coalesce target — into `out`. Returns `false` on shutdown.
@@ -223,8 +242,8 @@ impl BatchQueue {
         self.extract(&mut inner, out)
     }
 
-    /// Moves the leader + compatible followers into `out`; `false` when
-    /// nothing is pending.
+    /// Moves the leader + compatible followers into `out`, then every
+    /// twin of one of them; `false` when nothing is pending.
     fn extract(&self, inner: &mut QueueInner, out: &mut Vec<Pending>) -> bool {
         out.clear();
         let Some(leader) = inner.pending.pop_front() else {
@@ -242,6 +261,15 @@ impl BatchQueue {
                 i += 1;
             }
         }
+        let riders = out.len();
+        let mut i = 0;
+        while i < inner.pending.len() {
+            if Self::is_twin(&inner.pending[i], &out[..riders]) {
+                out.push(inner.pending.remove(i).expect("index in range"));
+            } else {
+                i += 1;
+            }
+        }
         if hwpr_obs::enabled() {
             metrics().queue_depth.set(inner.pending.len() as f64);
         }
@@ -255,6 +283,8 @@ pub struct WorkerState {
     arena: InferArena,
     batch: Vec<Pending>,
     archs: Vec<Architecture>,
+    /// Per request in the batch: where its rows start in `archs`.
+    offsets: Vec<usize>,
     scores: Vec<f64>,
     objectives: Vec<(f64, f64)>,
     frame: Vec<u8>,
@@ -278,6 +308,7 @@ impl WorkerState {
             arena: InferArena::default(),
             batch: Vec::new(),
             archs: Vec::new(),
+            offsets: Vec::new(),
             scores: Vec::new(),
             objectives: Vec::new(),
             frame: Vec::new(),
@@ -348,56 +379,49 @@ impl WorkerState {
         } else {
             None
         };
-        // stage the coalesced rows in request order
+        // stage the coalesced rows in request order; a request whose list
+        // equals an earlier one's (a twin) reuses that request's rows
         self.archs.clear();
-        for p in batch.iter() {
-            self.archs.extend_from_slice(&p.archs);
+        self.offsets.clear();
+        for (i, p) in batch.iter().enumerate() {
+            let offset = match batch[..i].iter().position(|q| q.archs == p.archs) {
+                Some(j) => self.offsets[j],
+                None => {
+                    let at = self.archs.len();
+                    self.archs.extend_from_slice(&p.archs);
+                    at
+                }
+            };
+            self.offsets.push(offset);
         }
         let model = &batch[0].model;
-        let kind = batch[0].kind;
-        let slot = batch[0].slot;
-        let result = match kind {
-            PredictKind::Scores => {
-                self.scores.clear();
-                model.frozen().predict_scores_into_with(
-                    model.cache(),
-                    &self.archs,
-                    slot,
-                    &mut self.scores,
-                    &mut self.arena,
-                )
-            }
-            PredictKind::Objectives => {
-                self.objectives.clear();
-                model.frozen().predict_objectives_into_with(
-                    model.cache(),
-                    &self.archs,
-                    slot,
-                    &mut self.objectives,
-                    &mut self.arena,
-                )
-            }
-        };
-        let rows_served = self.archs.len();
+        self.scores.clear();
+        self.objectives.clear();
+        let result = model.frozen().predict_into_with(
+            model.cache(),
+            &self.archs,
+            batch[0].slot,
+            Some(&mut self.scores),
+            Some(&mut self.objectives),
+            &mut self.arena,
+        );
         match result {
             Ok(()) => {
-                // split the output columns back per request, in order
-                let mut offset = 0;
-                for p in batch.iter() {
-                    let rows = p.archs.len();
-                    match kind {
+                // split the output columns back per request
+                for (p, &offset) in batch.iter().zip(&self.offsets) {
+                    let rows = offset..offset + p.archs.len();
+                    match p.kind {
                         PredictKind::Scores => protocol::encode_scores_response(
                             &mut self.frame,
                             p.request_id,
-                            &self.scores[offset..offset + rows],
+                            &self.scores[rows],
                         ),
                         PredictKind::Objectives => protocol::encode_objectives_response(
                             &mut self.frame,
                             p.request_id,
-                            &self.objectives[offset..offset + rows],
+                            &self.objectives[rows],
                         ),
                     }
-                    offset += rows;
                     p.reply.send(&self.frame);
                 }
             }
@@ -422,13 +446,17 @@ impl WorkerState {
         if let Some(start) = started {
             let m = metrics();
             m.batches.inc();
-            m.batch_rows.observe(rows_served as f64);
+            m.batch_rows.observe(self.archs.len() as f64);
             m.batch_us.observe(start.elapsed().as_secs_f64() * 1e6);
+            let mut admitted = 0;
             for p in batch.iter() {
                 m.request_us
                     .observe(p.arrived.elapsed().as_secs_f64() * 1e6);
+                admitted += p.archs.len() as i64;
             }
-            m.inflight_add(-(rows_served as i64));
+            // release what admission added per request, not the
+            // deduplicated rows the engine ran
+            m.inflight_add(-admitted);
         }
         for mut p in batch.drain(..) {
             queue.recycle_arch_buf(std::mem::take(&mut p.archs));
@@ -476,6 +504,33 @@ mod tests {
         registry.get("m").unwrap()
     }
 
+    fn cells(first: u64, n: usize) -> Vec<Architecture> {
+        (first..first + n as u64)
+            .map(|i| Architecture::nb201_from_index(i).unwrap())
+            .collect()
+    }
+
+    fn request(
+        model: &Arc<ServedModel>,
+        queue: &BatchQueue,
+        sink: &Arc<CountingSink>,
+        id: u64,
+        kind: PredictKind,
+        rows: &[Architecture],
+    ) -> Pending {
+        let mut archs = queue.take_arch_buf();
+        archs.extend_from_slice(rows);
+        Pending {
+            request_id: id,
+            kind,
+            model: Arc::clone(model),
+            slot: 0,
+            archs,
+            reply: Arc::clone(sink) as Arc<dyn ReplySink>,
+            arrived: Instant::now(),
+        }
+    }
+
     fn pending(
         model: &Arc<ServedModel>,
         queue: &BatchQueue,
@@ -483,19 +538,91 @@ mod tests {
         id: u64,
         n: usize,
     ) -> Pending {
-        let mut archs = queue.take_arch_buf();
-        for i in 0..n {
-            archs.push(hwpr_nasbench::Architecture::nb201_from_index(id * 100 + i as u64).unwrap());
+        let rows = cells(id * 100, n);
+        request(model, queue, sink, id, PredictKind::Scores, &rows)
+    }
+
+    fn ids(batch: &[Pending]) -> Vec<u64> {
+        batch.iter().map(|p| p.request_id).collect()
+    }
+
+    fn twin_config(max_batch: usize) -> ServeConfig {
+        ServeConfig {
+            max_batch,
+            batch_deadline: Duration::ZERO,
+            ..ServeConfig::default()
         }
-        Pending {
-            request_id: id,
-            kind: PredictKind::Scores,
-            model: Arc::clone(model),
-            slot: 0,
-            archs,
-            reply: Arc::clone(sink) as Arc<dyn ReplySink>,
-            arrived: Instant::now(),
-        }
+    }
+
+    /// Admits a request for `rows` asking for `kind`.
+    fn push(
+        queue: &BatchQueue,
+        model: &Arc<ServedModel>,
+        sink: &Arc<CountingSink>,
+        id: u64,
+        kind: PredictKind,
+        rows: &[Architecture],
+    ) {
+        queue
+            .push(request(model, queue, sink, id, kind, rows))
+            .unwrap();
+    }
+
+    #[test]
+    fn a_twin_rides_its_partners_batch_past_the_row_target() {
+        let model = tiny_served();
+        let sink = CountingSink::new();
+        let queue = BatchQueue::new(&twin_config(3));
+        let rows = cells(40, 3);
+        // the Scores leader fills the row target on its own: the other
+        // Scores request must wait, but the Objectives twin rides along
+        push(&queue, &model, &sink, 1, PredictKind::Scores, &rows);
+        queue.push(pending(&model, &queue, &sink, 2, 3)).unwrap();
+        push(&queue, &model, &sink, 3, PredictKind::Objectives, &rows);
+        let mut batch = Vec::new();
+        assert!(queue.try_next_batch(&mut batch));
+        assert_eq!(ids(&batch), [1, 3]);
+        assert!(queue.try_next_batch(&mut batch));
+        assert_eq!(ids(&batch), [2]);
+    }
+
+    #[test]
+    fn other_kind_requests_with_different_lists_stay_queued() {
+        let model = tiny_served();
+        let sink = CountingSink::new();
+        let queue = BatchQueue::new(&twin_config(64));
+        let rows = cells(40, 4);
+        let mut one_off = rows.clone();
+        one_off[2] = Architecture::nb201_from_index(900).unwrap();
+        let shorter = &rows[..3];
+        push(&queue, &model, &sink, 1, PredictKind::Scores, &rows);
+        push(&queue, &model, &sink, 2, PredictKind::Objectives, &one_off);
+        push(&queue, &model, &sink, 3, PredictKind::Objectives, shorter);
+        let mut batch = Vec::new();
+        assert!(queue.try_next_batch(&mut batch));
+        assert_eq!(ids(&batch), [1]);
+        assert!(queue.try_next_batch(&mut batch));
+        assert_eq!(ids(&batch), [2, 3]);
+    }
+
+    #[test]
+    fn twins_never_join_across_a_model_swap() {
+        let v1 = tiny_served();
+        // republishing the same weights still resolves to a new `Arc`
+        let registry = crate::ModelRegistry::new();
+        registry.publish("m", Arc::clone(v1.nas()));
+        let v2 = registry.get("m").unwrap();
+        assert!(!Arc::ptr_eq(&v1, &v2));
+        let sink = CountingSink::new();
+        let queue = BatchQueue::new(&twin_config(64));
+        let rows = cells(40, 4);
+        push(&queue, &v1, &sink, 1, PredictKind::Scores, &rows);
+        push(&queue, &v2, &sink, 2, PredictKind::Objectives, &rows);
+        let mut batch = Vec::new();
+        assert!(queue.try_next_batch(&mut batch));
+        assert_eq!(ids(&batch), [1]);
+        assert!(queue.try_next_batch(&mut batch));
+        assert_eq!(ids(&batch), [2]);
     }
 
     #[test]

@@ -26,12 +26,16 @@ pub(crate) struct ServeMetrics {
     pub request_us: Arc<Histogram>,
     /// "serve.batch.us": wall time of one coalesced forward + replies.
     pub batch_us: Arc<Histogram>,
-    /// "serve.batch.rows": rows per coalesced forward — shows whether
-    /// micro-batching actually fills the engine's batch width.
+    /// "serve.batch.rows": rows the engine actually ran per coalesced
+    /// forward — shows whether micro-batching fills the engine's batch
+    /// width. A twin's list is staged once, so it adds nothing here.
     pub batch_rows: Arc<Histogram>,
     /// "serve.queue.depth": requests waiting in the admission queue.
     pub queue_depth: Arc<Gauge>,
-    /// "serve.inflight.rows": rows admitted but not yet replied to.
+    /// "serve.inflight.rows": rows admitted but not yet replied to,
+    /// counted per request as admitted. A batch releases every rider's
+    /// own rows, twins included, so the gauge drains to 0 even though
+    /// the engine ran fewer rows.
     pub inflight: Arc<Gauge>,
     inflight_rows: AtomicI64,
 }

@@ -8,7 +8,7 @@
 use hwpr_core::{HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
-use hwpr_serve::{ModelRegistry, ServeClient, ServeConfig, Server};
+use hwpr_serve::{ModelRegistry, PredictKind, ServeClient, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -112,12 +112,7 @@ fn coalesced_uneven_batches_split_back_bit_exactly() {
             for &n in &plan {
                 let window = archs[offset..offset + n].to_vec();
                 client
-                    .send_predict(
-                        hwpr_serve::PredictKind::Scores,
-                        "default",
-                        Platform::EdgeGpu,
-                        &window,
-                    )
+                    .send_predict(PredictKind::Scores, "default", Platform::EdgeGpu, &window)
                     .unwrap();
                 windows.push(window);
                 offset += n;
@@ -143,6 +138,62 @@ fn coalesced_uneven_batches_split_back_bit_exactly() {
                 .unwrap();
             assert_eq!(bits(scores), bits(&direct));
         }
+    }
+}
+
+/// Two interleaved clients each pipeline a Scores and an Objectives
+/// request for the same rows — the pair a search client sends per
+/// generation. The server runs each pair's rows once and answers both
+/// kinds from that forward; every reply stays bit-identical to a direct
+/// call of its own kind.
+#[test]
+fn scores_and_objectives_twins_split_back_bit_exactly() {
+    let (nas, archs) = trained(80);
+    nas.freeze_with(16, Precision::F32);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("default", Arc::clone(&nas));
+    let served = registry.get("default").unwrap();
+    let slot = served.slot("Edge GPU").unwrap();
+
+    let config = ServeConfig {
+        max_batch: 64,
+        batch_deadline: Duration::from_millis(30),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(Arc::clone(&registry), config).unwrap();
+    let addr = server.addr();
+
+    let windows = [archs[..11].to_vec(), archs[40..57].to_vec()];
+    let handles: Vec<_> = windows
+        .iter()
+        .cloned()
+        .map(|window| {
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect(addr).unwrap();
+                for kind in [PredictKind::Scores, PredictKind::Objectives] {
+                    client
+                        .send_predict(kind, "default", Platform::EdgeGpu, &window)
+                        .unwrap();
+                }
+                // a batch replies riders before twins, so each
+                // connection sees its Scores reply first
+                let mut scores = Vec::new();
+                let mut objectives = Vec::new();
+                client.recv_scores(&mut scores).unwrap();
+                client.recv_objectives(&mut objectives).unwrap();
+                (scores, objectives)
+            })
+        })
+        .collect();
+    for (window, handle) in windows.iter().zip(handles) {
+        let (scores, objectives) = handle.join().unwrap();
+        let frozen = served.frozen();
+        let direct_scores = frozen.predict_scores(served.cache(), window, slot).unwrap();
+        let direct_objectives = frozen
+            .predict_objectives(served.cache(), window, slot)
+            .unwrap();
+        assert_eq!(bits(&scores), bits(&direct_scores));
+        assert_eq!(pair_bits(&objectives), pair_bits(&direct_objectives));
     }
 }
 

@@ -62,6 +62,11 @@ fn inflight_requests_finish_on_old_weights_and_later_ones_see_new() {
     let addr = server.addr();
 
     let rounds = 120;
+    // the client reports once this many v1 replies are in, and keeps
+    // going: each later round still pays the 100 µs coalesce deadline,
+    // so the publish lands with over 100 rounds left
+    let v1_replies = 10;
+    let (v1_seen, publish_now) = std::sync::mpsc::channel();
     let client_thread = std::thread::spawn(move || {
         let mut client = ServeClient::connect(addr).unwrap();
         let mut responses = Vec::with_capacity(rounds);
@@ -70,16 +75,23 @@ fn inflight_requests_finish_on_old_weights_and_later_ones_see_new() {
                 .predict_scores("default", Platform::EdgeGpu, &archs)
                 .expect("no request may fail across the swap");
             responses.push(scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>());
+            if responses.len() == v1_replies {
+                v1_seen.send(()).unwrap();
+            }
         }
         responses
     });
 
     // let some v1 traffic through, then hot-swap mid-stream
-    std::thread::sleep(Duration::from_millis(30));
+    publish_now.recv().unwrap();
     assert_eq!(registry.publish("default", Arc::clone(&v2)), 2);
 
     let responses = client_thread.join().unwrap();
     assert_eq!(responses.len(), rounds);
+    assert!(
+        responses[..v1_replies].iter().all(|bits| bits == &v1_bits),
+        "replies before the publish must come off v1"
+    );
     // every response came off exactly one engine — never a torn mix
     let mut v2_seen = false;
     for (i, bits) in responses.iter().enumerate() {

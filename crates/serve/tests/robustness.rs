@@ -85,9 +85,11 @@ fn oversized_frames_drop_the_connection_but_not_the_server() {
     let server = started(ServeConfig::default());
     let mut hostile = ServeClient::connect(server.addr()).unwrap();
     let huge = vec![0u8; protocol::MAX_FRAME + 1];
-    hostile.send_raw(&huge).unwrap();
-    // the server must sever this connection rather than buffer the frame
-    assert!(hostile.recv_raw().is_err());
+    // the server must sever this connection rather than buffer the frame;
+    // it may close while the frame is still being written, so either the
+    // write or the next read fails
+    let severed = hostile.send_raw(&huge).is_err() || hostile.recv_raw().is_err();
+    assert!(severed);
 
     // fresh connections are unaffected
     let mut client = ServeClient::connect(server.addr()).unwrap();
