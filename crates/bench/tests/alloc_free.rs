@@ -19,8 +19,35 @@ use hwpr_nasbench::SearchSpaceId;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// The allocation counter is process-wide, so two proofs running at once
+/// would see each other's allocations. Every test holds this lock for its
+/// whole body.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The allocation count once no thread has allocated for a few
+/// milliseconds. The lock keeps proofs apart, but not the test harness:
+/// when a proof finishes and releases the lock, the harness thread
+/// reports it and spawns the next test's thread, and that work may
+/// overlap the next proof. Every measured window opens here.
+fn settled_allocations() -> u64 {
+    let mut seen = allocations();
+    for _ in 0..200 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let now = allocations();
+        if now == seen {
+            break;
+        }
+        seen = now;
+    }
+    seen
+}
+
 #[test]
 fn steady_state_train_step_is_allocation_free() {
+    let _serial = serial();
     let config = StepConfig::tiny();
     let data = step_data(&config);
     let mut trainer = FusedTrainer::new(&config);
@@ -29,7 +56,7 @@ fn steady_state_train_step_is_allocation_free() {
     for _ in 0..5 {
         trainer.step(&data);
     }
-    let before = allocations();
+    let before = settled_allocations();
     let mut loss = 0.0;
     for _ in 0..3 {
         loss += trainer.step(&data);
@@ -46,6 +73,7 @@ fn steady_state_train_step_is_allocation_free() {
 
 #[test]
 fn warm_moo_workspace_calls_are_allocation_free() {
+    let _serial = serial();
     // both dispatch paths: the 2-D sweep and the M >= 3 CSR + WFG route
     let points2 = fixture_objectives(256, 2);
     let points3 = fixture_objectives(128, 3);
@@ -67,7 +95,7 @@ fn warm_moo_workspace_calls_are_allocation_free() {
         checksum += ws.hypervolume(&points2, &reference2).unwrap();
         checksum += ws.hypervolume(&points3, &reference3).unwrap();
     }
-    let before = allocations();
+    let before = settled_allocations();
     for _ in 0..3 {
         ws.fast_non_dominated_sort_into(&points2, &mut fronts)
             .unwrap();
@@ -92,12 +120,13 @@ fn warm_moo_workspace_calls_are_allocation_free() {
 
 #[test]
 fn warm_incremental_hv2_is_allocation_free() {
+    let _serial = serial();
     let points = fixture_objectives(512, 2);
     let mut archive = IncrementalHv2::new(&[101.0, 101.0]).unwrap();
     // warm-up: the staircase grows to its steady-state capacity, which
     // `clear` retains
     archive.reset_from(&points).unwrap();
-    let before = allocations();
+    let before = settled_allocations();
     archive.clear();
     let mut accepted = 0u64;
     for p in &points {
@@ -118,6 +147,7 @@ fn warm_incremental_hv2_is_allocation_free() {
 
 #[test]
 fn warm_island_generation_loop_is_allocation_free() {
+    let _serial = serial();
     use hwpr_search::island::{IslandConfig, IslandHarness};
     use hwpr_search::{Evaluator, Fitness, SearchClock};
 
@@ -176,7 +206,7 @@ fn warm_island_generation_loop_is_allocation_free() {
     for _ in 0..5 {
         harness.step().expect("warm-up step");
     }
-    let before = allocations();
+    let before = settled_allocations();
     for _ in 0..3 {
         harness.step().expect("measured step");
     }
@@ -192,6 +222,7 @@ fn warm_island_generation_loop_is_allocation_free() {
 
 #[test]
 fn warm_serving_loop_is_allocation_free() {
+    let _serial = serial();
     use hwpr_serve::{
         BatchQueue, ModelRegistry, Pending, PredictKind, ReplySink, ServeConfig, WorkerState,
     };
@@ -272,7 +303,7 @@ fn warm_serving_loop_is_allocation_free() {
     for r in 0..5 {
         round(r * 10);
     }
-    let before = allocations();
+    let before = settled_allocations();
     for r in 5..8 {
         round(r * 10);
     }
@@ -292,6 +323,7 @@ fn warm_serving_loop_is_allocation_free() {
 
 #[test]
 fn steady_state_frozen_inference_is_allocation_free() {
+    let _serial = serial();
     let model = fixture_model(32);
     let archs = fixture_archs(SearchSpaceId::NasBench201, 40);
     let mut scores = Vec::new();
@@ -310,7 +342,7 @@ fn steady_state_frozen_inference_is_allocation_free() {
                 .predict_scores_into(&archs, Platform::EdgeGpu, &mut scores)
                 .unwrap();
         }
-        let before = allocations();
+        let before = settled_allocations();
         let mut sum = 0.0;
         for _ in 0..3 {
             scores.clear();

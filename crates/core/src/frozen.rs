@@ -618,7 +618,9 @@ impl FrozenModel {
     /// [`Self::predict_full`] split across scoped worker threads. Each
     /// worker checks out its own arena while sharing the packed weights,
     /// so the parallel path never re-packs; results are spliced back in
-    /// input order and are bit-identical to the serial path.
+    /// input order and are bit-identical to the serial path. Workers get
+    /// batch-rounded chunks, so an input that fits one chunk runs on the
+    /// calling thread with no spawn at all.
     ///
     /// # Errors
     ///
@@ -631,18 +633,17 @@ impl FrozenModel {
         threads: usize,
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
         self.check_slot(slot)?;
-        let threads = threads.max(1).min(archs.len().max(1));
-        if threads == 1 {
-            return self.predict_full(cache, archs, slot);
-        }
         // round each worker's share up to the compiled batch width so only
         // the final worker can see a partial batch (a per-thread remainder
         // would otherwise cost one underfilled GEMM chunk per worker)
         let chunk = archs
             .len()
-            .div_ceil(threads)
-            .next_multiple_of(self.batch)
-            .min(archs.len());
+            .div_ceil(threads.max(1))
+            .next_multiple_of(self.batch);
+        if chunk >= archs.len() {
+            // one chunk covers the input: a worker would only add a spawn
+            return self.predict_full(cache, archs, slot);
+        }
         type ChunkResult = Result<(Vec<f64>, Vec<Vec<f64>>)>;
         // capture the calling thread's span context so worker spans stay in
         // the caller's trace instead of becoming per-thread orphan roots

@@ -453,11 +453,13 @@ impl HwPrNas {
     /// [`Self::predict_full`] with the batch split across scoped worker
     /// threads (the MOEA's per-generation hot path).
     ///
-    /// The input is cut into `threads` contiguous chunks, each worker runs
-    /// the frozen serial predictor on its chunk with its own activation
-    /// arena (checked out from the engine's arena pool, so the parallel
-    /// path never re-packs weights), and the results are spliced back in
-    /// input order. Every row of a forward pass is independent and dropout
+    /// The input is cut into at most `threads` contiguous chunks, each a
+    /// multiple of the compiled batch width; each worker runs the frozen
+    /// serial predictor on its chunk with its own activation arena
+    /// (checked out from the engine's arena pool, so the parallel path
+    /// never re-packs weights), and the results are spliced back in input
+    /// order. An input that fits one chunk — a search generation's misses
+    /// at the default batch width — runs on the calling thread. Every row of a forward pass is independent and dropout
     /// is statically elided, so the result is bit-identical to the serial
     /// path for any thread count.
     ///

@@ -121,7 +121,9 @@ pub trait Evaluator {
     }
 
     /// Restores a cache previously exported by [`Self::cache_snapshot`]
-    /// (a no-op for uncached evaluators).
+    /// (a no-op for uncached evaluators). Every key must parse
+    /// ([`CacheEntry::arch`]); [`crate::IslandSearch::resume`] checks
+    /// that before it restores any evaluator.
     fn restore_cache(&mut self, entries: &[CacheEntry]) {
         let _ = entries;
     }
@@ -130,12 +132,27 @@ pub trait Evaluator {
 /// One persisted score-cache entry (see [`Evaluator::cache_snapshot`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CacheEntry {
-    /// Architecture string codec key.
+    /// The architecture, in the string codec
+    /// ([`Architecture::to_arch_string`]).
     pub key: String,
     /// Cached Pareto score.
     pub score: f64,
     /// Cached predicted objectives.
     pub objectives: Vec<f64>,
+}
+
+impl CacheEntry {
+    /// The architecture this entry caches, parsed back from its key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SearchError::Config`] when the key is not an
+    /// architecture string.
+    pub fn arch(&self) -> Result<Architecture> {
+        self.key
+            .parse()
+            .map_err(|e| SearchError::Config(format!("score-cache key {:?}: {e}", self.key)))
+    }
 }
 
 /// Ground-truth evaluation against the synthetic benchmark: returns true
@@ -230,8 +247,11 @@ impl Evaluator for MeasuredEvaluator {
 /// (`Box<dyn Evaluator + Send>`).
 pub type ScoreFn = Box<dyn FnMut(&[Architecture]) -> Result<Vec<f64>> + Send>;
 
-/// Cross-generation surrogate score cache, keyed by the architecture
-/// string codec ([`Architecture::to_arch_string`]).
+/// Cross-generation surrogate score cache, keyed by the [`Architecture`]
+/// value itself (a small fixed-size array of op ids, so a lookup hashes a
+/// few bytes and allocates nothing). The string codec appears only at the
+/// persistence boundary: [`Self::snapshot`] writes
+/// [`Architecture::to_arch_string`] keys and [`Self::restore`] parses them.
 ///
 /// The MOEA's mutation rate of 0.9 re-creates many architectures across
 /// generations (and across restarts sharing the cache); each distinct
@@ -246,7 +266,7 @@ pub type ScoreFn = Box<dyn FnMut(&[Architecture]) -> Result<Vec<f64>> + Send>;
 /// off.
 #[derive(Debug)]
 pub struct ScoreCache {
-    entries: RwLock<HashMap<String, (f64, SharedObjectives)>>,
+    entries: RwLock<HashMap<Architecture, (f64, SharedObjectives)>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
 }
@@ -269,9 +289,9 @@ impl ScoreCache {
         }
     }
 
-    /// Looks up one architecture key, counting the hit or miss.
-    fn lookup(&self, key: &str) -> Option<(f64, SharedObjectives)> {
-        let found = self.entries.read().get(key).cloned();
+    /// Looks up one architecture, counting the hit or miss.
+    fn lookup(&self, arch: &Architecture) -> Option<(f64, SharedObjectives)> {
+        let found = self.entries.read().get(arch).cloned();
         match found {
             Some(ref hit) => {
                 self.hits.inc();
@@ -284,8 +304,8 @@ impl ScoreCache {
         }
     }
 
-    fn store(&self, key: String, score: f64, objectives: SharedObjectives) {
-        self.entries.write().insert(key, (score, objectives));
+    fn store(&self, arch: Architecture, score: f64, objectives: SharedObjectives) {
+        self.entries.write().insert(arch, (score, objectives));
     }
 
     /// Counts a lookup answered without a forward pass through a path
@@ -321,16 +341,16 @@ impl ScoreCache {
         self.misses.reset();
     }
 
-    /// Exports every entry **sorted by key**: map iteration order is
-    /// nondeterministic, and checkpoint bytes must be a pure function of
-    /// the cache contents.
+    /// Exports every entry keyed by its architecture string and **sorted
+    /// by that string**: map iteration order is nondeterministic, and
+    /// checkpoint bytes must be a pure function of the cache contents.
     pub fn snapshot(&self) -> Vec<CacheEntry> {
         let mut entries: Vec<CacheEntry> = self
             .entries
             .read()
             .iter()
-            .map(|(key, (score, objectives))| CacheEntry {
-                key: key.clone(),
+            .map(|(arch, (score, objectives))| CacheEntry {
+                key: arch.to_arch_string(),
                 score: *score,
                 objectives: objectives.as_ref().clone(),
             })
@@ -341,11 +361,23 @@ impl ScoreCache {
 
     /// Reloads entries exported by [`Self::snapshot`] (counters are left
     /// alone; hits/misses restart from the resumed run's perspective).
-    pub fn restore(&self, entries: &[CacheEntry]) {
+    /// Every key is parsed before any is inserted, so a malformed entry
+    /// leaves the cache unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SearchError::Config`] when a key is not an architecture
+    /// string.
+    pub fn restore(&self, entries: &[CacheEntry]) -> Result<()> {
+        let archs = entries
+            .iter()
+            .map(CacheEntry::arch)
+            .collect::<Result<Vec<_>>>()?;
         let mut map = self.entries.write();
-        for e in entries {
-            map.insert(e.key.clone(), (e.score, Arc::new(e.objectives.clone())));
+        for (arch, e) in archs.into_iter().zip(entries) {
+            map.insert(arch, (e.score, Arc::new(e.objectives.clone())));
         }
+        Ok(())
     }
 }
 
@@ -379,11 +411,15 @@ pub(crate) fn threads_from_spec(spec: &str) -> usize {
 /// Evaluates with the full HW-PR-NAS model: one call yields the Pareto
 /// score and the branch objective predictions (Fig. 3).
 ///
-/// Evaluation is chunked across `crossbeam` scoped worker threads (count
-/// from `HWPR_THREADS`, default available parallelism) and backed by a
-/// cross-generation [`ScoreCache`]. Results are spliced back in input
-/// index order and dropout is inert at inference, so a seeded search is
-/// bit-identical regardless of the thread count.
+/// Each call looks every architecture up in a cross-generation
+/// [`ScoreCache`] and sends only the distinct misses to
+/// [`HwPrNas::predict_full_parallel`]. That call runs on the calling
+/// thread when the misses fit one compiled batch (256 rows by default,
+/// which a generation's offspring always do) and otherwise fans out over
+/// `crossbeam` scoped workers (count from `HWPR_THREADS`, default
+/// available parallelism). Results are spliced back in input index order
+/// and dropout is inert at inference, so a seeded search is bit-identical
+/// regardless of the thread count.
 #[derive(Debug)]
 pub struct HwPrNasEvaluator {
     model: Arc<HwPrNas>,
@@ -452,22 +488,19 @@ impl Evaluator for HwPrNasEvaluator {
         // batch-local dedup on top of the shared cache: duplicate offspring
         // within one generation share a single forward slot
         let mut miss_index: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<String> = Vec::new();
-        let mut miss_slot: HashMap<String, usize> = HashMap::new();
+        let mut miss_slot: HashMap<&Architecture, usize> = HashMap::new();
         let mut dups: Vec<(usize, usize)> = Vec::new(); // (arch idx, miss slot)
         for (i, arch) in archs.iter().enumerate() {
-            let key = arch.to_arch_string();
-            if let Some(&slot) = miss_slot.get(&key) {
+            if let Some(&slot) = miss_slot.get(arch) {
                 // duplicate within this batch: rides the in-flight slot
                 self.cache.count_hit();
                 dups.push((i, slot));
-            } else if let Some((score, objs)) = self.cache.lookup(&key) {
+            } else if let Some((score, objs)) = self.cache.lookup(arch) {
                 scores[i] = score;
                 objectives[i] = Some(objs);
             } else {
-                miss_slot.insert(key.clone(), miss_index.len());
+                miss_slot.insert(arch, miss_index.len());
                 miss_index.push(i);
-                miss_keys.push(key);
             }
         }
         if !miss_index.is_empty() {
@@ -478,11 +511,10 @@ impl Evaluator for HwPrNasEvaluator {
                 .model
                 .predict_full_parallel(&miss_archs, self.platform, self.threads)
                 .map_err(|e| SearchError::Surrogate(e.to_string()))?;
-            for (slot, (score, objs)) in miss_scores.into_iter().zip(miss_objs).enumerate() {
+            let misses = miss_archs.into_iter().zip(miss_scores).zip(miss_objs);
+            for (&i, ((arch, score), objs)) in miss_index.iter().zip(misses) {
                 let objs = Arc::new(objs);
-                self.cache
-                    .store(miss_keys[slot].clone(), score, Arc::clone(&objs));
-                let i = miss_index[slot];
+                self.cache.store(arch, score, Arc::clone(&objs));
                 scores[i] = score;
                 objectives[i] = Some(objs);
             }
@@ -515,8 +547,14 @@ impl Evaluator for HwPrNasEvaluator {
         self.cache.snapshot()
     }
 
+    /// # Panics
+    ///
+    /// Panics when a key does not parse; snapshots reach here through
+    /// [`crate::IslandSearch::resume`], which rejects such keys first.
     fn restore_cache(&mut self, entries: &[CacheEntry]) {
-        self.cache.restore(entries);
+        if let Err(e) = self.cache.restore(entries) {
+            panic!("restore_cache: {e}");
+        }
     }
 }
 
@@ -714,9 +752,10 @@ mod tests {
     fn score_cache_counts_hits_and_misses() {
         let cache = ScoreCache::new();
         assert!(cache.is_empty());
-        assert!(cache.lookup("a").is_none());
-        cache.store("a".into(), 1.5, Arc::new(vec![2.0, 3.0]));
-        let (score, objs) = cache.lookup("a").expect("stored entry");
+        let arch = Architecture::nb201_from_index(42).unwrap();
+        assert!(cache.lookup(&arch).is_none());
+        cache.store(arch.clone(), 1.5, Arc::new(vec![2.0, 3.0]));
+        let (score, objs) = cache.lookup(&arch).expect("stored entry");
         assert!((score - 1.5).abs() < 1e-12);
         assert_eq!(*objs, vec![2.0, 3.0]);
         assert_eq!(cache.len(), 1);

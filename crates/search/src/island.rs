@@ -904,7 +904,8 @@ impl IslandSearch {
     /// # Errors
     ///
     /// Returns [`SearchError::Config`] for an unsupported snapshot
-    /// version or malformed state; propagates evaluator failures.
+    /// version or malformed state, such as a score-cache key that is not
+    /// an architecture string; propagates evaluator failures.
     pub fn resume<F>(snapshot: &SearchSnapshot, factory: F) -> Result<IslandSearchResult>
     where
         F: FnMut(usize) -> Box<dyn Evaluator + Send>,
@@ -992,6 +993,11 @@ where
         return Err(SearchError::Config(
             "snapshot island count disagrees with its config".into(),
         ));
+    }
+    // a cache key that is not an architecture string is malformed state:
+    // reject it here rather than let an evaluator panic or drop it
+    for entry in snapshot.islands.iter().flat_map(|isl| &isl.cache) {
+        entry.arch()?;
     }
     let mut islands = Vec::with_capacity(snapshot.islands.len());
     for isl in &snapshot.islands {

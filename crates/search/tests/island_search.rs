@@ -4,12 +4,18 @@
 //!   when re-run, and bit-identical across executor worker-lane counts,
 //!   for 1, 2 and 8 logical islands;
 //! - a run checkpointed mid-flight and resumed finishes bit-identical to
-//!   the uninterrupted run (populations, archive, hypervolume).
+//!   the uninterrupted run (populations, archive, hypervolume);
+//! - a snapshot's score cache is keyed by architecture strings in string
+//!   order, and a key that does not parse makes a resume fail with a
+//!   typed error.
 
 use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
-use hwpr_nasbench::{Dataset, SearchSpaceId};
-use hwpr_search::{Evaluator, HwPrNasEvaluator, IslandConfig, IslandSearch, IslandSearchResult};
+use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
+use hwpr_search::{
+    Evaluator, HwPrNasEvaluator, IslandConfig, IslandSearch, IslandSearchResult, ScoreCache,
+    SearchError, SearchSnapshot,
+};
 use std::sync::Arc;
 
 fn trained_model() -> Arc<HwPrNas> {
@@ -136,4 +142,80 @@ fn snapshot_round_trips_through_json() {
     let elites = snapshot.elites.len() as u64;
     assert!(snapshot.archive_tags.iter().all(|&t| t < elites));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `config(2, 1)` checkpointing every epoch and loads the last
+/// snapshot written (mid-run, generation 4 of 6).
+fn mid_run_snapshot(model: &Arc<HwPrNas>, tag: &str) -> SearchSnapshot {
+    let dir = std::env::temp_dir().join(format!("hwpr_island_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("snapshot.json");
+    IslandSearch::new(IslandConfig {
+        checkpoint_every: 1,
+        checkpoint_path: Some(path.to_string_lossy().into_owned()),
+        ..config(2, 1)
+    })
+    .unwrap()
+    .run(factory(model))
+    .unwrap();
+    let snapshot = IslandSearch::load_snapshot(&path).expect("snapshot readable");
+    std::fs::remove_dir_all(&dir).ok();
+    snapshot
+}
+
+#[test]
+fn snapshot_cache_keys_are_arch_strings_in_string_order() {
+    let model = trained_model();
+    let snapshot = mid_run_snapshot(&model, "keys");
+    for island in &snapshot.islands {
+        let keys: Vec<&str> = island.cache.iter().map(|e| e.key.as_str()).collect();
+        assert!(!keys.is_empty(), "cache shard not persisted");
+        // the checkpoint format: the string codec, strictly ascending
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys out of order");
+        for entry in &island.cache {
+            let arch: Architecture = entry.key.parse().expect("key is an arch string");
+            assert_eq!(arch.to_arch_string(), entry.key);
+        }
+        // snapshot -> restore -> snapshot is the identity
+        let cache = ScoreCache::new();
+        cache.restore(&island.cache).expect("keys parse");
+        assert_eq!(cache.snapshot(), island.cache);
+        let mut evaluator = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu);
+        evaluator.restore_cache(&island.cache);
+        assert_eq!(evaluator.cache_snapshot(), island.cache);
+    }
+}
+
+#[test]
+fn resume_rejects_a_cache_key_that_is_not_an_architecture() {
+    let model = trained_model();
+    let snapshot = mid_run_snapshot(&model, "hostile");
+    let hostile = [
+        String::new(),
+        "not an architecture".to_string(),
+        "|nor_conv_3x3~0|+|bogus~0|".to_string(),
+        "fbnet:".to_string(),
+        "\u{0}".repeat(4096),
+    ];
+    for key in hostile {
+        let mut corrupted = snapshot.clone();
+        let last = corrupted.islands.len() - 1;
+        corrupted.islands[last].cache[0].key = key.clone();
+        let mut built = 0usize;
+        let err = IslandSearch::resume(&corrupted, |id| {
+            built += 1;
+            factory(&model)(id)
+        })
+        .expect_err("a malformed cache key must fail the resume");
+        match err {
+            SearchError::Config(msg) => assert!(msg.contains("score-cache key"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+        // rejected before any evaluator is built or restored
+        assert_eq!(built, 0, "key {key:?}: an evaluator was built");
+        // the cache restore is all-or-nothing
+        let cache = ScoreCache::new();
+        assert!(cache.restore(&corrupted.islands[last].cache).is_err());
+        assert!(cache.is_empty(), "key {key:?}: a partial restore leaked");
+    }
 }

@@ -62,8 +62,9 @@ fn multi_threaded_search_captures_one_connected_trace() {
     let _guard = recorder_lock();
     let model = trained_model();
     // a small compiled batch forces predict_full_parallel to actually
-    // split the population across workers (the default 256-wide batch
-    // would collapse a small population onto one worker thread)
+    // split the population across workers (at the default 256-wide batch
+    // a small population fits one chunk and runs on the calling thread,
+    // see `single_chunk_evaluation_runs_on_the_calling_thread`)
     model.freeze_with(4, Precision::F32);
 
     for threads in [1usize, 2, 8] {
@@ -116,6 +117,45 @@ fn multi_threaded_search_captures_one_connected_trace() {
         assert!(chrome.contains("\"traceEvents\""));
         let tree = hwpr_obs::trace::span_tree(&events);
         assert!(tree.contains("search.moea"), "{tree}");
+    }
+}
+
+#[test]
+fn single_chunk_evaluation_runs_on_the_calling_thread() {
+    let _guard = recorder_lock();
+    // default compiled batch (256 rows) and a population well under it:
+    // every generation's misses fit one chunk, so two worker threads
+    // must not spawn anything
+    let model = trained_model();
+    let events = run_instrumented_search(&model, 2);
+    let stats = hwpr_obs::trace::stats(&events);
+    assert_eq!(stats.orphans, 0, "{stats:?}");
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, Event::SpanStart { name, .. } if name == "infer.worker")),
+        "a single-chunk evaluation spawned infer.worker spans"
+    );
+    let eval_ids: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::SpanStart { id, name, .. } if name == "search.eval" => Some(*id),
+            _ => None,
+        })
+        .collect();
+    let frozen_parents: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::SpanStart { parent, name, .. } if name == "infer.frozen" => Some(*parent),
+            _ => None,
+        })
+        .collect();
+    assert!(!frozen_parents.is_empty(), "no infer.frozen spans captured");
+    for parent in frozen_parents {
+        assert!(
+            eval_ids.contains(&parent),
+            "infer.frozen is not a direct child of search.eval (parent {parent})"
+        );
     }
 }
 
