@@ -138,75 +138,71 @@ pub fn lstm_bias_gates(gates: &mut Matrix, bias: &Matrix, hidden: usize) {
 const MAX_GATE_WIDTH: usize = 256;
 
 /// LSTM state update from post-activation gates: `c_new = f·c_prev + i·g`,
-/// `h_new = o·tanh(c_new)`, written into the packed `[h_new | c_new]`
-/// output. Gate blocks are pre-split into equal-length slices so the `j`
-/// loop has provable bounds and vectorises.
+/// `h_new = o·fast_tanh(c_new)`, written into the packed `[h_new | c_new]`
+/// output.
+///
+/// One staged path for every hidden size. Blocks of rows write `c_new`
+/// **contiguously** (no pad lanes) into a `STAGE`-lane stack buffer, one
+/// [`fast_tanh_block`] pass runs over the whole block, and a second sweep
+/// forms `h_new`. A per-row loop with `fast_tanh` inlined ran at scalar
+/// speed at hidden 64 (too few iterations per row for the vectorised
+/// body); the staged tanh pass is one long branch-free loop over several
+/// rows that compiles to full-width FMA chains. A row wider than the
+/// buffer is staged in buffer-sized column pieces. Every lane sees
+/// exactly the scalar arithmetic `f·c + i·g` and `o·fast_tanh(c)`, so
+/// the bits do not depend on the hidden size or the batch width.
 pub fn lstm_state_update(gates: &Matrix, hc_prev: &Matrix, hidden: usize, out: &mut Matrix) {
-    if hidden <= 16 {
-        // At vector-register-or-smaller hidden sizes the natural loop's
-        // trip count defeats the vectoriser, so blocks of rows stage
-        // `c_new` **contiguously** (no pad lanes — every staged lane is
-        // live) into a stack buffer and push it through one long
-        // [`fast_tanh_block`] pass, which compiles to full-width FMA
-        // chains with no per-row epilogue. Live lanes see the exact
-        // arithmetic of the general loop below.
-        const CV: usize = 256;
-        let rows = gates.rows();
-        let block_rows = CV / hidden;
-        let w4 = 4 * hidden;
-        let w2 = 2 * hidden;
-        let gs_all = gates.as_slice();
-        let ps_all = hc_prev.as_slice();
-        let os_all = out.as_mut_slice();
-        let mut r = 0;
-        while r < rows {
-            let blk = (rows - r).min(block_rows);
-            let live = blk * hidden;
-            let mut cv = [0.0f32; CV];
-            let gs = &gs_all[r * w4..(r + blk) * w4];
-            let ps = &ps_all[r * w2..(r + blk) * w2];
-            let os = &mut os_all[r * w2..(r + blk) * w2];
-            for ((gr, pr), (or_, lanes)) in gs.chunks_exact(w4).zip(ps.chunks_exact(w2)).zip(
-                os.chunks_exact_mut(w2)
-                    .zip(cv[..live].chunks_exact_mut(hidden)),
-            ) {
-                let (i_g, rest) = gr.split_at(hidden);
-                let (f_g, rest) = rest.split_at(hidden);
-                let (g_g, _) = rest.split_at(hidden);
-                let c_prev = &pr[hidden..];
-                let c_out = &mut or_[hidden..];
-                for j in 0..hidden {
-                    let c_new = f_g[j] * c_prev[j] + i_g[j] * g_g[j];
-                    c_out[j] = c_new;
-                    lanes[j] = c_new;
-                }
-            }
-            fast_tanh_block(&mut cv[..live]);
-            for (gr, (or_, lanes)) in gs
-                .chunks_exact(w4)
-                .zip(os.chunks_exact_mut(w2).zip(cv[..live].chunks_exact(hidden)))
-            {
-                let o_g = &gr[3 * hidden..];
-                let h_out = &mut or_[..hidden];
-                for j in 0..hidden {
-                    h_out[j] = o_g[j] * lanes[j];
-                }
-            }
-            r += blk;
-        }
+    const STAGE: usize = 256;
+    if hidden == 0 {
         return;
     }
-    for r in 0..gates.rows() {
-        let gr = gates.row(r);
-        let (i_g, rest) = gr.split_at(hidden);
-        let (f_g, rest) = rest.split_at(hidden);
-        let (g_g, o_g) = rest.split_at(hidden);
-        let c_prev = &hc_prev.row(r)[hidden..];
-        let (h_out, c_out) = out.row_mut(r).split_at_mut(hidden);
-        for j in 0..hidden {
-            let c_new = f_g[j] * c_prev[j] + i_g[j] * g_g[j];
-            c_out[j] = c_new;
-            h_out[j] = o_g[j] * fast_tanh(c_new);
+    let piece = hidden.min(STAGE);
+    let block_rows = STAGE / piece;
+    let (w4, w2) = (4 * hidden, 2 * hidden);
+    let rows = gates.rows();
+    let gs_all = gates.as_slice();
+    let ps_all = hc_prev.as_slice();
+    let os_all = out.as_mut_slice();
+    let mut stage = [0.0f32; STAGE];
+    for r in (0..rows).step_by(block_rows) {
+        let blk = block_rows.min(rows - r);
+        let gs = &gs_all[r * w4..(r + blk) * w4];
+        let ps = &ps_all[r * w2..(r + blk) * w2];
+        let os = &mut os_all[r * w2..(r + blk) * w2];
+        for j0 in (0..hidden).step_by(piece) {
+            let wj = piece.min(hidden - j0);
+            let lanes_all = &mut stage[..blk * wj];
+            for ((gr, pr), (or_, lanes)) in gs
+                .chunks_exact(w4)
+                .zip(ps.chunks_exact(w2))
+                .zip(os.chunks_exact_mut(w2).zip(lanes_all.chunks_exact_mut(wj)))
+            {
+                let i_g = &gr[j0..j0 + wj];
+                let f_g = &gr[hidden + j0..hidden + j0 + wj];
+                let g_g = &gr[2 * hidden + j0..2 * hidden + j0 + wj];
+                let c_prev = &pr[hidden + j0..hidden + j0 + wj];
+                let c_out = &mut or_[hidden + j0..hidden + j0 + wj];
+                for ((c_o, lane), ((&i, &f), (&g, &cp))) in c_out
+                    .iter_mut()
+                    .zip(lanes.iter_mut())
+                    .zip(i_g.iter().zip(f_g).zip(g_g.iter().zip(c_prev)))
+                {
+                    let c_new = f * cp + i * g;
+                    *c_o = c_new;
+                    *lane = c_new;
+                }
+            }
+            fast_tanh_block(lanes_all);
+            for (gr, (or_, lanes)) in gs
+                .chunks_exact(w4)
+                .zip(os.chunks_exact_mut(w2).zip(lanes_all.chunks_exact(wj)))
+            {
+                let o_g = &gr[3 * hidden + j0..3 * hidden + j0 + wj];
+                let h_out = &mut or_[j0..j0 + wj];
+                for ((h, &o), &t) in h_out.iter_mut().zip(o_g).zip(lanes) {
+                    *h = o * t;
+                }
+            }
         }
     }
 }
@@ -745,5 +741,33 @@ mod tests {
         tape.reset();
         let l2 = run(&mut tape);
         assert_eq!(l1, l2);
+    }
+
+    #[test]
+    fn state_update_matches_scalar_reference_bitwise() {
+        // hidden sizes of every config family (tiny 12, experiments 48,
+        // fast 64, paper 225) plus one wider than the staging buffer;
+        // row counts that leave a partial last block for each of them
+        for hidden in [12usize, 48, 64, 225, 300] {
+            for rows in [1usize, 3, 7, 11, 22, 43] {
+                let gates = det_matrix(rows, 4 * hidden, hidden + rows);
+                let hc = det_matrix(rows, 2 * hidden, hidden * rows);
+                let mut out =
+                    Matrix::from_vec(rows, 2 * hidden, vec![f32::NAN; rows * 2 * hidden]).unwrap();
+                lstm_state_update(&gates, &hc, hidden, &mut out);
+                for r in 0..rows {
+                    let (g, p, o) = (gates.row(r), hc.row(r), out.row(r));
+                    for j in 0..hidden {
+                        let (i, f, gg, og) =
+                            (g[j], g[hidden + j], g[2 * hidden + j], g[3 * hidden + j]);
+                        let c = f * p[hidden + j] + i * gg;
+                        let h = og * fast_tanh(c);
+                        let at = format!("hidden {hidden}, rows {rows}, ({r}, {j})");
+                        assert_eq!(o[hidden + j].to_bits(), c.to_bits(), "c at {at}");
+                        assert_eq!(o[j].to_bits(), h.to_bits(), "h at {at}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,10 +1,13 @@
 //! Reference (naive loop nest) vs cache-tiled, register-blocked GEMM —
 //! the kernels behind every surrogate forward pass. The 256x256x256 row
 //! is the PR-1 acceptance point: the blocked kernel must be >= 2x the
-//! reference.
+//! reference. The `prepacked_*` rows time the frozen engine's LSTM gate
+//! GEMMs (`ModelConfig::fast`: `[m, 88] @ [88, 256]` and
+//! `[m, 128] @ [128, 256]`) at the small row counts a search scores in,
+//! where most row tiles are partial.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hwpr_tensor::{reference, Matrix};
+use hwpr_tensor::{reference, Matrix, PackedWeight, Precision};
 
 /// Deterministic dense matrix (no RNG, so runs are comparable).
 fn filled(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -47,6 +50,18 @@ fn bench_matmul(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("blocked_nt", n), &n, |bench, _| {
         bench.iter(|| a.matmul_nt(&b).expect("shapes agree"));
     });
+    for k in [88usize, 128] {
+        let mut w = PackedWeight::new();
+        w.pack_for_inference(&filled(k, 256, 5), Precision::F32);
+        for m in [1usize, 3, 5, 7, 8, 11] {
+            let x = filled(m, k, 6);
+            let mut out = Matrix::zeros(m, 256);
+            let id = BenchmarkId::new(format!("prepacked_k{k}_n256"), format!("m{m}"));
+            group.bench_function(id, |bench| {
+                bench.iter(|| x.matmul_prepacked_into(&w, &mut out).expect("shapes agree"));
+            });
+        }
+    }
     group.finish();
 }
 

@@ -183,60 +183,123 @@ fn micro_kernel(kc: usize, a_strip: &[f32], b_strip: &[f32], acc: &mut [[f32; NR
     }
 }
 
-/// [`micro_kernel`] reading a full `MR`-row tile of row-major `A` in
-/// place (row stride `lda`) instead of from a packed strip: the broadcast
-/// loads are scalar either way, so skipping the pack removes a whole copy
-/// of `A` per GEMM without touching the per-element FMA chain — results
-/// stay bit-identical to the packed path.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+/// One `rows x NR` output tile computed from row-major `A` in place (row
+/// stride `lda`) against a packed `B` strip, for any `rows <= MR`, and
+/// written straight into `C` (row stride `ldc`, `cols <= NR` live
+/// columns): overwritten, or added to when `accumulate` (a later
+/// `k`-panel). Reading `A` in place skips the `pack_a` copy — the
+/// broadcast loads are scalar either way.
+///
+/// The row count is picked once per tile and selects a [`direct_rows`]
+/// instance with `rows` as a const generic, so a partial tile (the
+/// ragged last tile of a small batch) keeps its accumulators in registers
+/// exactly like a full one instead of round-tripping a stack array per
+/// `k` step. Every instance runs each element's multiply-add chain from
+/// zero in the same `k` order, so a row's bits do not depend on how many
+/// rows share its tile.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn micro_kernel_direct(
+pub(crate) fn direct_tile(
     kc: usize,
     a: &[f32],
     lda: usize,
+    rows: usize,
     b_strip: &[f32],
-    acc: &mut [[f32; NR]; MR],
+    c: &mut [f32],
+    ldc: usize,
+    cols: usize,
+    accumulate: bool,
 ) {
+    assert!((1..=MR).contains(&rows) && (1..=NR).contains(&cols));
+    assert!(
+        kc > 0 && b_strip.len() >= kc * NR,
+        "packed B strip too short"
+    );
+    assert!(a.len() >= (rows - 1) * lda + kc, "A tile out of bounds");
+    assert!(c.len() >= (rows - 1) * ldc + cols, "C tile out of bounds");
+    let tile = (kc, a, lda, b_strip);
+    let out = (c, ldc, cols, accumulate);
+    if rows == MR {
+        direct_rows::<MR>(tile, out);
+    } else {
+        direct_tile_partial(rows, tile, out);
+    }
+}
+
+/// The `rows < MR` instances of [`direct_tile`], kept out of line so the
+/// full-tile body stays small enough to inline into its drivers.
+#[inline(never)]
+fn direct_tile_partial(rows: usize, tile: TileIn, out: TileOut) {
+    match rows {
+        7 => direct_rows::<7>(tile, out),
+        6 => direct_rows::<6>(tile, out),
+        5 => direct_rows::<5>(tile, out),
+        4 => direct_rows::<4>(tile, out),
+        3 => direct_rows::<3>(tile, out),
+        2 => direct_rows::<2>(tile, out),
+        _ => direct_rows::<1>(tile, out),
+    }
+}
+
+/// `(kc, a, lda, b_strip)`: the inputs of one [`direct_tile`].
+type TileIn<'a> = (usize, &'a [f32], usize, &'a [f32]);
+/// `(c, ldc, cols, accumulate)`: where one [`direct_tile`] lands.
+type TileOut<'a> = (&'a mut [f32], usize, usize, bool);
+
+/// AVX-512 body of [`direct_tile`]: `R` `zmm` accumulators (`NR` = 16 =
+/// one 512-bit vector), one `vfmaddps` per row per `k` step, then one
+/// (masked, when `cols < NR`) store per row. Compiled in only when the
+/// build targets a CPU with AVX-512F (e.g. via `-C target-cpu=native`,
+/// see `.cargo/config.toml`). The FMA rounds once per multiply-add where
+/// the portable body rounds twice, so results may differ from the
+/// reference kernels by a few ULPs.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline(always)]
+fn direct_rows<const R: usize>((kc, a, lda, b_strip): TileIn, (c, ldc, cols, accumulate): TileOut) {
     use std::arch::x86_64::*;
-    assert!(b_strip.len() >= kc * NR, "packed B strip too short");
-    assert!(a.len() > (MR - 1) * lda + kc - 1, "A tile out of bounds");
-    // SAFETY: AVX-512F is statically enabled by the cfg; the asserts bound
-    // every read below.
+    const { assert!(NR == 16, "one zmm register holds exactly NR lanes") };
+    // SAFETY: AVX-512F is statically enabled by the cfg; `direct_tile`
+    // asserted that `R` rows of `kc` A values, `kc` B vectors and `R`
+    // rows of `cols` C values are in bounds, and the masked load/store
+    // touch only the first `cols` lanes of each C row.
     unsafe {
-        let mut rows = [_mm512_setzero_ps(); MR];
-        for (row, dst) in rows.iter_mut().zip(acc.iter()) {
-            *row = _mm512_loadu_ps(dst.as_ptr());
-        }
+        let mut acc = [_mm512_setzero_ps(); R];
         let pa = a.as_ptr();
         let mut pb = b_strip.as_ptr();
         for p in 0..kc {
             let b = _mm512_loadu_ps(pb);
-            for (i, row) in rows.iter_mut().enumerate() {
+            for (i, row) in acc.iter_mut().enumerate() {
                 let av = _mm512_set1_ps(*pa.add(i * lda + p));
                 *row = _mm512_fmadd_ps(av, b, *row);
             }
             pb = pb.add(NR);
         }
-        for (dst, row) in acc.iter_mut().zip(rows.iter()) {
-            _mm512_storeu_ps(dst.as_mut_ptr(), *row);
+        let pc = c.as_mut_ptr();
+        let mask: __mmask16 = if cols == NR { !0 } else { (1 << cols) - 1 };
+        for (i, &row) in acc.iter().enumerate() {
+            let dst = pc.add(i * ldc);
+            let v = if accumulate {
+                _mm512_add_ps(_mm512_maskz_loadu_ps(mask, dst), row)
+            } else {
+                row
+            };
+            if cols == NR {
+                _mm512_storeu_ps(dst, v);
+            } else {
+                _mm512_mask_storeu_ps(dst, mask, v);
+            }
         }
     }
 }
 
-/// Portable in-place-`A` micro-kernel (see the AVX-512 variant above).
+/// Portable body of [`direct_tile`] for targets without AVX-512F: a stack
+/// accumulator with a multiply-then-add per element (two roundings), the
+/// same arithmetic as the portable [`micro_kernel`].
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 #[inline(always)]
-pub(crate) fn micro_kernel_direct(
-    kc: usize,
-    a: &[f32],
-    lda: usize,
-    b_strip: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    debug_assert!(b_strip.len() >= kc * NR);
-    debug_assert!(a.len() > (MR - 1) * lda + kc - 1);
-    for p in 0..kc {
-        let b_vals = &b_strip[p * NR..(p + 1) * NR];
+fn direct_rows<const R: usize>((kc, a, lda, b_strip): TileIn, (c, ldc, cols, accumulate): TileOut) {
+    let mut acc = [[0.0f32; NR]; R];
+    for (p, b_vals) in b_strip.chunks_exact(NR).take(kc).enumerate() {
         for (i, row) in acc.iter_mut().enumerate() {
             let a_val = a[i * lda + p];
             for (cell, &b_val) in row.iter_mut().zip(b_vals) {
@@ -244,96 +307,14 @@ pub(crate) fn micro_kernel_direct(
             }
         }
     }
-}
-
-/// [`micro_kernel_direct`] for the overwrite case (`pc == 0`, full
-/// `MR x NR` tile): accumulates from zero in registers and stores the
-/// finished tile straight into `C` (row stride `ldc`), skipping the
-/// stack accumulator's zero-fill / load / store / copy round trip. The
-/// per-element FMA chain is unchanged, so the stored bits match the
-/// staged path exactly.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-#[inline]
-pub(crate) fn micro_kernel_direct_store(
-    kc: usize,
-    a: &[f32],
-    lda: usize,
-    b_strip: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-) {
-    use std::arch::x86_64::*;
-    assert!(b_strip.len() >= kc * NR, "packed B strip too short");
-    assert!(a.len() > (MR - 1) * lda + kc - 1, "A tile out of bounds");
-    assert!(c.len() >= (MR - 1) * ldc + NR, "C tile out of bounds");
-    // SAFETY: AVX-512F is statically enabled by the cfg; the asserts bound
-    // every read and write below.
-    unsafe {
-        let mut rows = [_mm512_setzero_ps(); MR];
-        let pa = a.as_ptr();
-        let mut pb = b_strip.as_ptr();
-        for p in 0..kc {
-            let b = _mm512_loadu_ps(pb);
-            for (i, row) in rows.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*pa.add(i * lda + p));
-                *row = _mm512_fmadd_ps(av, b, *row);
-            }
-            pb = pb.add(NR);
-        }
-        let pc_out = c.as_mut_ptr();
-        for (i, row) in rows.iter().enumerate() {
-            _mm512_storeu_ps(pc_out.add(i * ldc), *row);
-        }
-    }
-}
-
-/// Portable store-direct micro-kernel (see the AVX-512 variant above).
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-#[inline(always)]
-pub(crate) fn micro_kernel_direct_store(
-    kc: usize,
-    a: &[f32],
-    lda: usize,
-    b_strip: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    micro_kernel_direct(kc, a, lda, b_strip, &mut acc);
     for (i, row) in acc.iter().enumerate() {
-        c[i * ldc..i * ldc + NR].copy_from_slice(row);
-    }
-}
-
-/// In-place-`A` micro-kernel for the final partial row tile
-/// (`live < MR`): per-element ops and `k`-order match the full kernels
-/// exactly (fused on AVX-512F, two roundings elsewhere), so the tail rows
-/// get the same bits the packed path would produce.
-#[inline]
-pub(crate) fn micro_kernel_direct_partial(
-    kc: usize,
-    a: &[f32],
-    lda: usize,
-    live: usize,
-    b_strip: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    debug_assert!(live < MR && live > 0);
-    debug_assert!(b_strip.len() >= kc * NR);
-    for p in 0..kc {
-        let b_vals = &b_strip[p * NR..(p + 1) * NR];
-        for (i, row) in acc.iter_mut().enumerate().take(live) {
-            let a_val = a[i * lda + p];
-            for (cell, &b_val) in row.iter_mut().zip(b_vals) {
-                #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-                {
-                    *cell = a_val.mul_add(b_val, *cell);
-                }
-                #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-                {
-                    *cell += a_val * b_val;
-                }
+        let dst = &mut c[i * ldc..i * ldc + cols];
+        if accumulate {
+            for (cell, &v) in dst.iter_mut().zip(row) {
+                *cell += v;
             }
+        } else {
+            dst.copy_from_slice(&row[..cols]);
         }
     }
 }
@@ -404,28 +385,25 @@ pub fn gemm_prepacked(
                         for ir in (0..mc).step_by(MR) {
                             let live_rows = MR.min(mc - ir);
                             let live_cols = NR.min(nc - jr);
-                            if direct && pc == 0 && live_rows == MR && live_cols == NR {
-                                // overwrite mode, full tile: skip the
-                                // stack accumulator entirely
-                                let a_tile = &a[(ic + ir) * k..];
+                            if direct {
+                                let a_tile = &a[(ic + ir) * k + pc..];
                                 let c_tile = &mut c[(ic + ir) * n + jc + jr..];
-                                micro_kernel_direct_store(kc, a_tile, k, b_strip, c_tile, n);
+                                direct_tile(
+                                    kc,
+                                    a_tile,
+                                    k,
+                                    live_rows,
+                                    b_strip,
+                                    c_tile,
+                                    n,
+                                    live_cols,
+                                    pc > 0,
+                                );
                                 continue;
                             }
                             let mut acc = [[0.0f32; NR]; MR];
-                            if direct {
-                                let a_tile = &a[(ic + ir) * k + pc..];
-                                if live_rows == MR {
-                                    micro_kernel_direct(kc, a_tile, k, b_strip, &mut acc);
-                                } else {
-                                    micro_kernel_direct_partial(
-                                        kc, a_tile, k, live_rows, b_strip, &mut acc,
-                                    );
-                                }
-                            } else {
-                                let a_strip = &a_pack[(ir / MR) * MR * kc..];
-                                micro_kernel(kc, a_strip, b_strip, &mut acc);
-                            }
+                            let a_strip = &a_pack[(ir / MR) * MR * kc..];
+                            micro_kernel(kc, a_strip, b_strip, &mut acc);
                             for (ii, acc_row) in acc.iter().enumerate().take(live_rows) {
                                 let row = (ic + ir + ii) * n + jc + jr;
                                 let dst = &mut c[row..row + live_cols];
@@ -510,6 +488,104 @@ fn gemm_with_scratch(
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::static_gemm::{lookup, STATIC_SHAPES};
+
+    fn det(len: usize, salt: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| (((i * 13 + salt * 7) % 19) as f32 - 9.0) * 0.11)
+            .collect()
+    }
+
+    /// One multiply-add step as the drivers perform it: fused on
+    /// AVX-512F, multiply-then-add elsewhere.
+    fn step(acc: f32, a: f32, b: f32) -> f32 {
+        if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    }
+
+    /// Scalar `A @ B` with the drivers' arithmetic: each element's chain
+    /// starts from zero and runs in `k` order within a `KC` panel, and a
+    /// later panel's chain is added to the stored sum.
+    fn scalar_reference(a: &[f32], b: &[f32], (m, n, k): (usize, usize, usize)) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for pc in (0..k).step_by(KC) {
+                    let chain = (pc..k.min(pc + KC))
+                        .fold(0.0f32, |acc, p| step(acc, a[i * k + p], b[p * n + j]));
+                    let cell = &mut c[i * n + j];
+                    *cell = if pc == 0 { chain } else { *cell + chain };
+                }
+            }
+        }
+        c
+    }
+
+    fn assert_bits(got: &[f32], expect: &[f32], what: &str) {
+        let same = got
+            .iter()
+            .zip(expect)
+            .all(|(g, e)| g.to_bits() == e.to_bits());
+        assert!(
+            same && got.len() == expect.len(),
+            "{what} diverges from the scalar reference"
+        );
+    }
+
+    /// Every live row count of a partial tile (1–7), one and two full
+    /// tiles with every partial tail (8–16), and whole sweeps including a
+    /// tail past the `MC` block (64, 129).
+    const ROWS: [usize; 18] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 64, 129,
+    ];
+
+    #[test]
+    fn static_driver_matches_scalar_reference_bitwise() {
+        for &(k, n) in STATIC_SHAPES {
+            let kernel = lookup(k, n).expect("registered shape must resolve");
+            let b = det(k * n, k + n);
+            let mut panels = Vec::new();
+            pack_b_full(&b, Layout::RowMajor, (k, n), &mut panels);
+            for m in ROWS {
+                let a = det(m * k, m);
+                let mut got = vec![f32::NAN; m * n];
+                kernel(&a, m, &panels, &mut got);
+                let expect = scalar_reference(&a, &b, (m, n, k));
+                assert_bits(&got, &expect, &format!("static {m}x{k}x{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn dynamic_driver_matches_scalar_reference_bitwise() {
+        // registered shapes plus ragged columns, several `k` panels and
+        // several `jc` panels; row-major `A` runs in place, transposed `A`
+        // through `pack_a`
+        let extra = [(30, 40), (300, 24), (20, 530)];
+        for &(k, n) in STATIC_SHAPES.iter().chain(&extra) {
+            let b = det(k * n, k + n);
+            let mut panels = Vec::new();
+            pack_b_full(&b, Layout::RowMajor, (k, n), &mut panels);
+            for m in ROWS {
+                let a = det(m * k, m);
+                let a_t: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+                let expect = scalar_reference(&a, &b, (m, n, k));
+                for (src, layout) in [(&a, Layout::RowMajor), (&a_t, Layout::Transposed)] {
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_prepacked((m, n, k), src, layout, &panels, &mut got);
+                    assert_bits(&got, &expect, &format!("dynamic {m}x{k}x{n}"));
                 }
             }
         }

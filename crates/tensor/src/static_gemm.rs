@@ -11,11 +11,13 @@
 //!
 //! [`gemm_static`] is the same register-blocked computation with the
 //! reduction depth `K` and output width `N` as const generics: the strip
-//! count, each strip's live column width and the micro-kernel trip count
-//! are compile-time constants, so the optimiser unrolls the strip loop,
-//! folds away every remainder branch and specialises the inner FMA loop
-//! per shape. Only the row count `m` stays runtime — the engine's batch
-//! width is an env-tunable and the final chunk of a sweep is ragged.
+//! count, each strip's live column width and the full-tile trip count
+//! are compile-time constants, so the optimiser can unroll the strip
+//! loop, fold the column-remainder branch and specialise the full-tile
+//! FMA loop per shape. Only the row count `m` stays runtime — the
+//! engine's batch width is an env-tunable and the final chunk of a sweep
+//! is ragged — and a partial last row tile runs the shared
+//! register-resident body for its row count.
 //!
 //! Monomorphization needs the shapes at compile time, so the kernels are
 //! instantiated from a fixed registry ([`STATIC_SHAPES`]) covering the
@@ -28,12 +30,11 @@
 //! means a packed operand is exactly one driver panel — the
 //! [`crate::gemm::pack_b_full`] layout — and the static path accumulates
 //! in the same `k`-order through the same micro-kernels, keeping its
-//! results bit-identical to the dynamic driver (the differential tests
-//! below assert equality, not tolerance).
+//! results bit-identical to the dynamic driver (the tests in
+//! [`crate::gemm`] pin both drivers to one scalar reference, bit for
+//! bit).
 
-use crate::gemm::{
-    micro_kernel_direct, micro_kernel_direct_partial, micro_kernel_direct_store, KC, MR, NC, NR,
-};
+use crate::gemm::{direct_tile, KC, MR, NC, NR};
 
 /// A monomorphized [`gemm_static`] instance: `(a, m, panels, c)` computes
 /// the `[m, K] @ [K, N]` product into `c` (overwrite semantics).
@@ -43,10 +44,12 @@ pub type StaticKernelFn = fn(&[f32], usize, &[f32], &mut [f32]);
 /// single prepacked panel of `B` (the [`crate::gemm::pack_b_full`]
 /// layout: `NR`-column strips, each `K` deep, zero-padded past `N`).
 ///
-/// Same micro-kernels, same `k`-order and same store-direct condition as
-/// [`crate::gemm::gemm_prepacked`], so the output is bit-identical to
-/// the dynamic driver; the difference is that the strip walk and every
-/// remainder decision are compile-time constants.
+/// Every tile, full or partial in either direction, goes through the
+/// same [`crate::gemm::direct_tile`] as [`crate::gemm::gemm_prepacked`]:
+/// `R <= MR` accumulator rows held in registers, each element's FMA chain
+/// in `k` order, stored straight into `C`. The output is therefore
+/// bit-identical to the dynamic driver; the difference is that the strip
+/// walk and the column widths are compile-time constants.
 pub fn gemm_static<const K: usize, const N: usize>(
     a: &[f32],
     m: usize,
@@ -69,25 +72,14 @@ pub fn gemm_static<const K: usize, const N: usize>(
         let live_rows = MR.min(m - ir);
         let a_tile = &a[ir * K..];
         for js in 0..strips {
-            // all compile-time: the strip loop unrolls and the remainder
-            // branch below folds to one side per strip
+            // compile-time strip walk and column widths; the row count
+            // picks the register-resident tile body once per tile
             let live_cols = NR.min(N - js * NR);
             let b_strip = &panels[js * NR * K..(js + 1) * NR * K];
-            if live_rows == MR && live_cols == NR {
-                let c_tile = &mut c[ir * N + js * NR..];
-                micro_kernel_direct_store(K, a_tile, K, b_strip, c_tile, N);
-                continue;
-            }
-            let mut acc = [[0.0f32; NR]; MR];
-            if live_rows == MR {
-                micro_kernel_direct(K, a_tile, K, b_strip, &mut acc);
-            } else {
-                micro_kernel_direct_partial(K, a_tile, K, live_rows, b_strip, &mut acc);
-            }
-            for (ii, acc_row) in acc.iter().enumerate().take(live_rows) {
-                let row = (ir + ii) * N + js * NR;
-                c[row..row + live_cols].copy_from_slice(&acc_row[..live_cols]);
-            }
+            let c_tile = &mut c[ir * N + js * NR..];
+            direct_tile(
+                K, a_tile, K, live_rows, b_strip, c_tile, N, live_cols, false,
+            );
         }
         ir += MR;
     }
@@ -134,7 +126,7 @@ static_shapes! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm_prepacked, pack_b_full, Layout};
+    use crate::gemm::{pack_b_full, Layout};
     use crate::matrix::Matrix;
 
     fn det(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -146,32 +138,6 @@ mod tests {
                 .collect(),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn every_registered_shape_matches_the_dynamic_driver_bitwise() {
-        // remainder-free (multiples of MR) and remainder-heavy row
-        // counts, including the ragged final chunks a sweep produces
-        for &(k, n) in STATIC_SHAPES {
-            let kernel = lookup(k, n).expect("registered shape must resolve");
-            let b = det(k, n, k + n);
-            let mut panels = Vec::new();
-            pack_b_full(b.as_slice(), Layout::RowMajor, (k, n), &mut panels);
-            for m in [1usize, 3, 5, 7, 8, 13, 16, 64, 129] {
-                let a = det(m, k, m);
-                let mut expect = vec![0.0f32; m * n];
-                gemm_prepacked(
-                    (m, n, k),
-                    a.as_slice(),
-                    Layout::RowMajor,
-                    &panels,
-                    &mut expect,
-                );
-                let mut got = vec![f32::NAN; m * n];
-                kernel(a.as_slice(), m, &panels, &mut got);
-                assert_eq!(got, expect, "{m}x{k}x{n} diverges from the dynamic driver");
-            }
-        }
     }
 
     #[test]
