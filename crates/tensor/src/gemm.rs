@@ -217,34 +217,38 @@ pub(crate) fn direct_tile(
     );
     assert!(a.len() >= (rows - 1) * lda + kc, "A tile out of bounds");
     assert!(c.len() >= (rows - 1) * ldc + cols, "C tile out of bounds");
-    let tile = (kc, a, lda, b_strip);
-    let out = (c, ldc, cols, accumulate);
     if rows == MR {
-        direct_rows::<MR>(tile, out);
+        direct_rows::<MR>(kc, a, lda, b_strip, c, ldc, cols, accumulate);
     } else {
-        direct_tile_partial(rows, tile, out);
+        direct_tile_partial(rows, kc, a, lda, b_strip, c, ldc, cols, accumulate);
     }
 }
 
 /// The `rows < MR` instances of [`direct_tile`], kept out of line so the
 /// full-tile body stays small enough to inline into its drivers.
+#[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn direct_tile_partial(rows: usize, tile: TileIn, out: TileOut) {
+fn direct_tile_partial(
+    rows: usize,
+    kc: usize,
+    a: &[f32],
+    lda: usize,
+    b_strip: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    cols: usize,
+    accumulate: bool,
+) {
     match rows {
-        7 => direct_rows::<7>(tile, out),
-        6 => direct_rows::<6>(tile, out),
-        5 => direct_rows::<5>(tile, out),
-        4 => direct_rows::<4>(tile, out),
-        3 => direct_rows::<3>(tile, out),
-        2 => direct_rows::<2>(tile, out),
-        _ => direct_rows::<1>(tile, out),
+        7 => direct_rows::<7>(kc, a, lda, b_strip, c, ldc, cols, accumulate),
+        6 => direct_rows::<6>(kc, a, lda, b_strip, c, ldc, cols, accumulate),
+        5 => direct_rows::<5>(kc, a, lda, b_strip, c, ldc, cols, accumulate),
+        4 => direct_rows::<4>(kc, a, lda, b_strip, c, ldc, cols, accumulate),
+        3 => direct_rows::<3>(kc, a, lda, b_strip, c, ldc, cols, accumulate),
+        2 => direct_rows::<2>(kc, a, lda, b_strip, c, ldc, cols, accumulate),
+        _ => direct_rows::<1>(kc, a, lda, b_strip, c, ldc, cols, accumulate),
     }
 }
-
-/// `(kc, a, lda, b_strip)`: the inputs of one [`direct_tile`].
-type TileIn<'a> = (usize, &'a [f32], usize, &'a [f32]);
-/// `(c, ldc, cols, accumulate)`: where one [`direct_tile`] lands.
-type TileOut<'a> = (&'a mut [f32], usize, usize, bool);
 
 /// AVX-512 body of [`direct_tile`]: `R` `zmm` accumulators (`NR` = 16 =
 /// one 512-bit vector), one `vfmaddps` per row per `k` step, then one
@@ -255,7 +259,17 @@ type TileOut<'a> = (&'a mut [f32], usize, usize, bool);
 /// reference kernels by a few ULPs.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[inline(always)]
-fn direct_rows<const R: usize>((kc, a, lda, b_strip): TileIn, (c, ldc, cols, accumulate): TileOut) {
+#[allow(clippy::too_many_arguments)]
+fn direct_rows<const R: usize>(
+    kc: usize,
+    a: &[f32],
+    lda: usize,
+    b_strip: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    cols: usize,
+    accumulate: bool,
+) {
     use std::arch::x86_64::*;
     const { assert!(NR == 16, "one zmm register holds exactly NR lanes") };
     // SAFETY: AVX-512F is statically enabled by the cfg; `direct_tile`
@@ -297,7 +311,17 @@ fn direct_rows<const R: usize>((kc, a, lda, b_strip): TileIn, (c, ldc, cols, acc
 /// same arithmetic as the portable [`micro_kernel`].
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 #[inline(always)]
-fn direct_rows<const R: usize>((kc, a, lda, b_strip): TileIn, (c, ldc, cols, accumulate): TileOut) {
+#[allow(clippy::too_many_arguments)]
+fn direct_rows<const R: usize>(
+    kc: usize,
+    a: &[f32],
+    lda: usize,
+    b_strip: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    cols: usize,
+    accumulate: bool,
+) {
     let mut acc = [[0.0f32; NR]; R];
     for (p, b_vals) in b_strip.chunks_exact(NR).take(kc).enumerate() {
         for (i, row) in acc.iter_mut().enumerate() {

@@ -30,9 +30,9 @@
 //! means a packed operand is exactly one driver panel — the
 //! [`crate::gemm::pack_b_full`] layout — and the static path accumulates
 //! in the same `k`-order through the same micro-kernels, keeping its
-//! results bit-identical to the dynamic driver (the tests in
-//! [`crate::gemm`] pin both drivers to one scalar reference, bit for
-//! bit).
+//! results bit-identical to the dynamic driver (the differential tests
+//! below assert equality, not tolerance, and the tests in
+//! [`crate::gemm`] pin both drivers to one scalar reference).
 
 use crate::gemm::{direct_tile, KC, MR, NC, NR};
 
@@ -126,7 +126,7 @@ static_shapes! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{pack_b_full, Layout};
+    use crate::gemm::{gemm_prepacked, pack_b_full, Layout};
     use crate::matrix::Matrix;
 
     fn det(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -138,6 +138,32 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn every_registered_shape_matches_the_dynamic_driver_bitwise() {
+        // remainder-free (multiples of MR) and remainder-heavy row
+        // counts, including the ragged final chunks a sweep produces
+        for &(k, n) in STATIC_SHAPES {
+            let kernel = lookup(k, n).expect("registered shape must resolve");
+            let b = det(k, n, k + n);
+            let mut panels = Vec::new();
+            pack_b_full(b.as_slice(), Layout::RowMajor, (k, n), &mut panels);
+            for m in [1usize, 3, 5, 7, 8, 13, 16, 64, 129] {
+                let a = det(m, k, m);
+                let mut expect = vec![0.0f32; m * n];
+                gemm_prepacked(
+                    (m, n, k),
+                    a.as_slice(),
+                    Layout::RowMajor,
+                    &panels,
+                    &mut expect,
+                );
+                let mut got = vec![f32::NAN; m * n];
+                kernel(a.as_slice(), m, &panels, &mut got);
+                assert_eq!(got, expect, "{m}x{k}x{n} diverges from the dynamic driver");
+            }
+        }
     }
 
     #[test]
