@@ -14,20 +14,18 @@
 //! `tape_serial`; all three paths are bit-identical (differential tests
 //! in `hwpr-core`).
 //!
-//! The `frozen_b{B}_{prec}` grid (PR-6, `BENCH_pr6.json`) sweeps the
-//! compiled batch width (1 / 8 / 64) against the weight-panel precision
-//! ({f32, f16, int8} via [`freeze_with`]): width 1 shows the per-chunk
-//! dispatch floor, width 64 the amortised batched path. The f32 grid rows
-//! stay bit-identical to `frozen_serial`; reduced-precision rows are
-//! rank-faithful (Kendall tau >= 0.99, asserted in `hwpr-core` tests).
+//! The `frozen_b{B}_f32` rows sweep the compiled batch width (1 / 8 / 64,
+//! via [`freeze_with_batch`]): width 1 shows the per-chunk dispatch floor,
+//! width 64 the amortised batched path. They stay bit-identical to
+//! `frozen_serial`; the `_f32` suffix keeps the row names of the earlier
+//! `BENCH_pr*.json` snapshots comparable.
 //!
-//! [`freeze_with`]: hwpr_core::HwPrNas::freeze_with
+//! [`freeze_with_batch`]: hwpr_core::HwPrNas::freeze_with_batch
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hwpr_bench::{fixture_archs, fixture_model};
 use hwpr_hwmodel::Platform;
 use hwpr_nasbench::SearchSpaceId;
-use hwpr_tensor::Precision;
 
 fn bench_inference_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_throughput");
@@ -52,16 +50,14 @@ fn bench_inference_throughput(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    // batch-width x precision grid: recompile the frozen engine per cell,
-    // then measure the same 256-arch sweep the rows above use
-    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
-        for width in [1usize, 8, 64] {
-            model.freeze_with(width, precision);
-            model.predict_full(&archs, Platform::EdgeGpu).unwrap();
-            group.bench_function(format!("frozen_b{width}_{}", precision.label()), |b| {
-                b.iter(|| model.predict_full(&archs, Platform::EdgeGpu).unwrap())
-            });
-        }
+    // batch-width sweep: recompile the frozen engine per width, then
+    // measure the same 256-arch sweep the rows above use
+    for width in [1usize, 8, 64] {
+        model.freeze_with_batch(width);
+        model.predict_full(&archs, Platform::EdgeGpu).unwrap();
+        group.bench_function(format!("frozen_b{width}_f32"), |b| {
+            b.iter(|| model.predict_full(&archs, Platform::EdgeGpu).unwrap())
+        });
     }
     group.finish();
 }

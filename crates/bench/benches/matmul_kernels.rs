@@ -7,7 +7,7 @@
 //! where most row tiles are partial.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hwpr_tensor::{reference, Matrix, PackedWeight, Precision};
+use hwpr_tensor::{reference, Matrix, PackedWeight};
 
 /// Deterministic dense matrix (no RNG, so runs are comparable).
 fn filled(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -52,7 +52,7 @@ fn bench_matmul(c: &mut Criterion) {
     });
     for k in [88usize, 128] {
         let mut w = PackedWeight::new();
-        w.pack_for_inference(&filled(k, 256, 5), Precision::F32);
+        w.pack(&filled(k, 256, 5));
         for m in [1usize, 3, 5, 7, 8, 11] {
             let x = filled(m, k, 6);
             let mut out = Matrix::zeros(m, 256);

@@ -11,7 +11,6 @@
 use hwpr_bench::alloc_count::{allocations, CountingAllocator};
 use hwpr_bench::train_step::{step_data, FusedTrainer, StepConfig};
 use hwpr_bench::{fixture_archs, fixture_model, fixture_objectives};
-use hwpr_core::Precision;
 use hwpr_hwmodel::Platform;
 use hwpr_moo::{Fronts, IncrementalHv2, MooWorkspace};
 use hwpr_nasbench::SearchSpaceId;
@@ -249,7 +248,7 @@ fn warm_serving_loop_is_allocation_free() {
 
     let registry = ModelRegistry::new();
     let nas = Arc::new(fixture_model(32));
-    nas.freeze_with(16, Precision::F32);
+    nas.freeze_with_batch(16);
     registry.publish("default", nas);
     let model = registry.get("default").expect("published");
     let archs = fixture_archs(SearchSpaceId::NasBench201, 24);
@@ -327,39 +326,33 @@ fn steady_state_frozen_inference_is_allocation_free() {
     let model = fixture_model(32);
     let archs = fixture_archs(SearchSpaceId::NasBench201, 40);
     let mut scores = Vec::new();
-    // all three panel precisions must share the zero-allocation property:
-    // the f32/f16 paths draw from the arena pool alone, the int8 path
-    // additionally reuses its thread-local quantisation scratch
-    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
-        // chunk size 16 leaves an uneven final chunk of 8, so both chunk
-        // shapes get warmed into the arena's buffer pool
-        model.freeze_with(16, precision);
-        // warm-up: encodes the architectures into the cache, grows the
-        // arena's pool/scratch and the output buffer to steady state
-        for _ in 0..3 {
-            scores.clear();
-            model
-                .predict_scores_into(&archs, Platform::EdgeGpu, &mut scores)
-                .unwrap();
-        }
-        let before = settled_allocations();
-        let mut sum = 0.0;
-        for _ in 0..3 {
-            scores.clear();
-            model
-                .predict_scores_into(&archs, Platform::EdgeGpu, &mut scores)
-                .unwrap();
-            sum += scores.iter().sum::<f64>();
-        }
-        let after = allocations();
-        assert!(sum.is_finite());
-        assert_eq!(scores.len(), archs.len());
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state {} inference performed {} heap allocations",
-            precision.label(),
-            after - before
-        );
+    // chunk size 16 leaves an uneven final chunk of 8, so both chunk
+    // shapes get warmed into the arena's buffer pool
+    model.freeze_with_batch(16);
+    // warm-up: encodes the architectures into the cache, grows the
+    // arena's pool/scratch and the output buffer to steady state
+    for _ in 0..3 {
+        scores.clear();
+        model
+            .predict_scores_into(&archs, Platform::EdgeGpu, &mut scores)
+            .unwrap();
     }
+    let before = settled_allocations();
+    let mut sum = 0.0;
+    for _ in 0..3 {
+        scores.clear();
+        model
+            .predict_scores_into(&archs, Platform::EdgeGpu, &mut scores)
+            .unwrap();
+        sum += scores.iter().sum::<f64>();
+    }
+    let after = allocations();
+    assert!(sum.is_finite());
+    assert_eq!(scores.len(), archs.len());
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state inference performed {} heap allocations",
+        after - before
+    );
 }

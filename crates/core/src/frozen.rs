@@ -12,15 +12,14 @@
 //!
 //! The frozen path is pinned to the recording-tape reference
 //! implementation (`predict_*_tape` on [`HwPrNas`]) by a documented error
-//! budget: f32 max-abs ≤ 1e-5 with Kendall τ = 1.0 on the differential
-//! fixtures, and τ ≥ 0.99 per platform head at f16/int8 (see the
-//! `hwpr_nn::infer` module docs for the rationale). The implementation
-//! currently sits at exact f32 bit-equality — every kernel it calls is
-//! either the routine the corresponding tape op runs
+//! budget: max-abs ≤ 1e-5 with Kendall τ = 1.0 on the differential
+//! fixtures (see the `hwpr_nn::infer` module docs for the rationale). The
+//! implementation currently sits at exact bit-equality — every kernel it
+//! calls is either the routine the corresponding tape op runs
 //! ([`hwpr_autograd::apply_bias_act`], [`hwpr_autograd::lstm_step_frozen`])
-//! or a bit-identical variant (`matmul_prepacked_into` ≡ `matmul`
-//! including the static-shape kernels, `block_left_matmul_into` ≡
-//! `block_left_matmul`), with concatenations/gathers as plain copies —
+//! or a bit-identical variant (`matmul_prepacked_into` ≡ `matmul`,
+//! `block_left_matmul_into` ≡ `block_left_matmul`), with
+//! concatenations/gathers as plain copies —
 //! but only the budget is contractual. Differential tests in this module
 //! and in `tests/frozen_differential.rs` pin the budget for every encoder
 //! type and platform.
@@ -46,7 +45,7 @@ use hwpr_nasbench::Architecture;
 use hwpr_nn::infer::{FrozenEmbedding, FrozenGcnLayer, FrozenLstm, FrozenMlp, LstmScratch};
 use hwpr_nn::Params;
 use hwpr_obs::metrics::{registry, Counter, Histogram};
-use hwpr_tensor::{BufferPool, Matrix, Precision};
+use hwpr_tensor::{BufferPool, Matrix};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -145,15 +144,11 @@ struct FrozenEncoderSet {
 }
 
 impl FrozenEncoderSet {
-    fn compile(enc: &EncoderSet, params: &Params, precision: Precision) -> Self {
+    fn compile(enc: &EncoderSet, params: &Params) -> Self {
         Self {
-            gcn: enc
-                .gcn_layers()
-                .iter()
-                .map(|l| l.freeze_with(params, precision))
-                .collect(),
+            gcn: enc.gcn_layers().iter().map(|l| l.freeze(params)).collect(),
             embedding: enc.embedding().map(|e| e.freeze(params)),
-            lstm: enc.lstm().map(|l| l.freeze_with(params, precision)),
+            lstm: enc.lstm().map(|l| l.freeze(params)),
             normalizer: enc.normalizer().cloned(),
             output_dim: enc.output_dim(),
         }
@@ -307,8 +302,6 @@ pub struct FrozenModel {
     nodes: usize,
     seq_len: usize,
     batch: usize,
-    /// Panel storage precision every GEMM weight was frozen at.
-    precision: Precision,
     /// Prepacked GEMMs per full-batch forward (drives the reuse counter).
     prepacked_gemms: u64,
     /// Reusable worker arenas; one is checked out per predict call and
@@ -318,21 +311,18 @@ pub struct FrozenModel {
 }
 
 impl FrozenModel {
-    /// Freezes `model`: packs every GEMM weight once at `precision` and
-    /// fixes the inference chunk size to `batch` rows. Rank-critical
-    /// scalar heads stay f32 under int8 (see `hwpr_nn::infer`).
-    pub(crate) fn compile(model: &HwPrNas, batch: usize, precision: Precision) -> Self {
-        let accuracy_encoder =
-            FrozenEncoderSet::compile(&model.accuracy_encoder, &model.params, precision);
-        let latency_encoder =
-            FrozenEncoderSet::compile(&model.latency_encoder, &model.params, precision);
-        let accuracy_head = model.accuracy_head.freeze_with(&model.params, precision);
+    /// Freezes `model`: packs every GEMM weight once and fixes the
+    /// inference chunk size to `batch` rows.
+    pub(crate) fn compile(model: &HwPrNas, batch: usize) -> Self {
+        let accuracy_encoder = FrozenEncoderSet::compile(&model.accuracy_encoder, &model.params);
+        let latency_encoder = FrozenEncoderSet::compile(&model.latency_encoder, &model.params);
+        let accuracy_head = model.accuracy_head.freeze(&model.params);
         let latency_heads: Vec<FrozenMlp> = model
             .latency_heads
             .iter()
-            .map(|h| h.freeze_with(&model.params, precision))
+            .map(|h| h.freeze(&model.params))
             .collect();
-        let fusion = model.fusion.freeze_with(&model.params, precision);
+        let fusion = model.fusion.freeze(&model.params);
         let seq_len = model.cache.seq_len();
         let prepacked_gemms = accuracy_encoder.prepacked_gemms(seq_len)
             + latency_encoder.prepacked_gemms(seq_len)
@@ -350,7 +340,6 @@ impl FrozenModel {
             nodes: model.cache.nodes(),
             seq_len,
             batch: batch.max(1),
-            precision,
             prepacked_gemms,
             arenas: Mutex::new(Vec::new()),
         }
@@ -364,11 +353,6 @@ impl FrozenModel {
     /// The inference chunk size the engine was compiled with.
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// The panel precision the engine was frozen at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     fn check_slot(&self, slot: usize) -> Result<()> {
@@ -509,7 +493,7 @@ impl FrozenModel {
         arena: &mut InferArena,
     ) -> Result<()> {
         self.check_slot(slot)?;
-        let _span = hwpr_obs::span_labeled("infer.frozen", self.precision.label());
+        let _span = hwpr_obs::span("infer.frozen");
         if let Some(out) = scores.as_deref_mut() {
             out.reserve(archs.len());
         }
@@ -557,7 +541,7 @@ impl FrozenModel {
         slot: usize,
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
         self.check_slot(slot)?;
-        let _span = hwpr_obs::span_labeled("infer.frozen", self.precision.label());
+        let _span = hwpr_obs::span("infer.frozen");
         let mut arena = self.checkout();
         let mut scores = Vec::with_capacity(archs.len());
         let mut objectives = Vec::with_capacity(archs.len());
@@ -714,7 +698,7 @@ mod tests {
         let out = enc.forward(&mut binder, &cache, &archs, &mut rng).unwrap();
         let expected = tape.value(out).clone();
 
-        let frozen = FrozenEncoderSet::compile(&enc, &params, Precision::F32);
+        let frozen = FrozenEncoderSet::compile(&enc, &params);
         let mut arena = InferArena::default();
         let encodings: Vec<_> = archs.iter().map(|a| cache.encoding(a)).collect();
         let repr = frozen
@@ -787,7 +771,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let enc =
             EncoderSet::new(&mut params, "e", &cfg, EncoderChoice::ALL, &cache, &archs).unwrap();
-        let frozen = FrozenEncoderSet::compile(&enc, &params, Precision::F32);
+        let frozen = FrozenEncoderSet::compile(&enc, &params);
         let expected = cfg.gcn_layers as u64 + (cfg.lstm_layers * cache.seq_len()) as u64;
         assert_eq!(frozen.prepacked_gemms(cache.seq_len()), expected);
     }

@@ -45,7 +45,6 @@ mod train;
 pub use config::{ModelConfig, TrainConfig};
 pub use data::{ArchSample, EncodingCache, SurrogateDataset};
 pub use frozen::{FrozenModel, InferArena};
-pub use hwpr_tensor::Precision;
 pub use model::HwPrNas;
 pub use persist::{observe_saves, SaveWatch};
 pub use train::{nb201_fraction, TrainReport};

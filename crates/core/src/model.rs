@@ -10,7 +10,6 @@ use hwpr_hwmodel::Platform;
 use hwpr_nasbench::{Architecture, Dataset};
 use hwpr_nn::layers::{LayerRng, Mlp, MlpConfig};
 use hwpr_nn::{Binder, Params};
-use hwpr_tensor::Precision;
 use parking_lot::RwLock;
 use rand_chacha::rand_core::SeedableRng;
 use std::sync::Arc;
@@ -46,32 +45,6 @@ fn batch_from_spec(spec: &str) -> usize {
         spec,
         parse_batch,
         INFER_BATCH,
-    )
-}
-
-/// Frozen panel precision: f32 unless overridden through the
-/// `HWPR_INFER_PRECISION` environment variable (`f32` | `f16` | `int8`).
-pub(crate) fn infer_precision() -> Precision {
-    hwpr_obs::env_or_else(
-        "HWPR_INFER_PRECISION",
-        "f32, f16 or int8",
-        Precision::parse,
-        || Precision::F32,
-        Precision::F32,
-    )
-}
-
-/// Parses an `HWPR_INFER_PRECISION` override through the shared
-/// warn-and-default policy, falling back to f32 on anything that is not
-/// a recognised precision name.
-#[cfg(test)]
-fn precision_from_spec(spec: &str) -> Precision {
-    hwpr_obs::spec_or(
-        "HWPR_INFER_PRECISION",
-        "f32, f16 or int8",
-        spec,
-        Precision::parse,
-        Precision::F32,
     )
 }
 
@@ -234,7 +207,7 @@ impl HwPrNas {
         if let Some(f) = slot.as_ref() {
             return Arc::clone(f);
         }
-        let f = Arc::new(FrozenModel::compile(self, infer_batch(), infer_precision()));
+        let f = Arc::new(FrozenModel::compile(self, infer_batch()));
         *slot = Some(Arc::clone(&f));
         f
     }
@@ -243,15 +216,7 @@ impl HwPrNas {
     /// size, bypassing `HWPR_INFER_BATCH`. Exposed so tests can force
     /// uneven final chunks.
     pub fn freeze_with_batch(&self, batch: usize) -> Arc<FrozenModel> {
-        self.freeze_with(batch, Precision::F32)
-    }
-
-    /// Compiles (and installs) a frozen engine with an explicit chunk size
-    /// and panel precision, bypassing `HWPR_INFER_BATCH` and
-    /// `HWPR_INFER_PRECISION`. The differential and throughput harnesses
-    /// use this to pin reduced-precision engines next to the f32 one.
-    pub fn freeze_with(&self, batch: usize, precision: Precision) -> Arc<FrozenModel> {
-        let f = Arc::new(FrozenModel::compile(self, batch.max(1), precision));
+        let f = Arc::new(FrozenModel::compile(self, batch.max(1)));
         *self.frozen.write() = Some(Arc::clone(&f));
         f
     }
@@ -573,16 +538,6 @@ mod tests {
         let (model, _) = HwPrNas::fit(&data, &ModelConfig::tiny(), &TrainConfig::tiny()).unwrap();
         let archs = vec![data.samples()[0].arch.clone()];
         assert!(model.predict_scores(&archs, Platform::Eyeriss).is_err());
-    }
-
-    #[test]
-    fn precision_spec_parses_and_falls_back() {
-        assert_eq!(precision_from_spec("f32"), Precision::F32);
-        assert_eq!(precision_from_spec(" F16 "), Precision::F16);
-        assert_eq!(precision_from_spec("int8"), Precision::Int8);
-        assert_eq!(precision_from_spec("i8"), Precision::Int8);
-        assert_eq!(precision_from_spec("fp64"), Precision::F32);
-        assert_eq!(precision_from_spec(""), Precision::F32);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use hwpr_nasbench::{Architecture, Dataset};
 use hwpr_tensor::Matrix;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -109,14 +110,71 @@ fn notify_saved(path: &Path) {
 /// the on-disk convention every persisted artifact in the workspace
 /// follows (trained models here, search snapshots in `hwpr-search`).
 ///
+/// The write is crash-safe: the document goes to a temporary sibling in
+/// the same directory, is synced to disk, and only then renamed over
+/// `path`. A crash at any point leaves either the complete old file or
+/// the complete new one, never a truncated mix, and a reader that opened
+/// the old file keeps reading the old bytes. A file that already exists
+/// keeps its permissions. Once the rename has happened the new document
+/// is in place, so the directory sync that follows is best effort: its
+/// failure is not reported as a failed write.
+///
 /// # Errors
 ///
-/// Returns [`CoreError::Data`] on serialisation or I/O failure.
+/// Returns [`CoreError::Data`] on serialisation or I/O failure before the
+/// rename; `path` is then unchanged.
 pub fn write_json_file<T: Serialize>(value: &T, path: impl AsRef<Path>) -> Result<()> {
+    let path = path.as_ref();
     let json =
         serde_json::to_string(value).map_err(|e| CoreError::Data(format!("serialise: {e}")))?;
-    std::fs::write(path.as_ref(), json)
-        .map_err(|e| CoreError::Data(format!("write {}: {e}", path.as_ref().display())))
+    let name = path
+        .file_name()
+        .ok_or_else(|| CoreError::Data(format!("write {}: not a file path", path.display())))?;
+    // unique per process and call, so concurrent saves of one path never
+    // share a temporary
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let replace = || -> std::io::Result<()> {
+        let mut file = std::fs::File::create(&tmp)?;
+        // before any byte lands, so a restricted file's contents never sit
+        // in a wider-mode temporary
+        if let Ok(old) = std::fs::metadata(path) {
+            file.set_permissions(old.permissions())?;
+        }
+        file.write_all(json.as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    };
+    replace().map_err(|e| {
+        // best effort: the temporary is garbage whatever step failed
+        let _ = std::fs::remove_file(&tmp);
+        CoreError::Data(format!("write {}: {e}", path.display()))
+    })?;
+    let _ = sync_parent_dir(path);
+    Ok(())
+}
+
+/// Makes a rename inside `path`'s directory durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for syncing on this platform.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// Reads and parses a JSON document previously written by
@@ -309,6 +367,46 @@ mod tests {
             restored.predict_scores(&[arch], Platform::EdgeGpu).unwrap()
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn write_replaces_the_file_without_truncating_it_in_place() {
+        let dir = std::env::temp_dir().join(format!("hwpr_persist_replace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        write_json_file(&vec![1u32; 1000], &path).unwrap();
+        let old = std::fs::read(&path).unwrap();
+        // a reader holding the old file (a loader mid-read) must see the
+        // complete old document, not a truncated or rewritten one
+        let mut reader = std::fs::File::open(&path).unwrap();
+        write_json_file(&vec![2u32; 10], &path).unwrap();
+        let mut seen = Vec::new();
+        std::io::Read::read_to_end(&mut reader, &mut seen).unwrap();
+        assert_eq!(seen, old, "an open reader saw the old file change");
+        let now: Vec<u32> = read_json_file(&path).unwrap();
+        assert_eq!(now, vec![2u32; 10]);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["doc.json"], "temporary files left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn write_keeps_the_permissions_of_the_file_it_replaces() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!("hwpr_persist_mode_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        write_json_file(&vec![1u32; 4], &path).unwrap();
+        std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o600)).unwrap();
+        write_json_file(&vec![2u32; 4], &path).unwrap();
+        let mode = std::fs::metadata(&path).unwrap().permissions().mode() & 0o777;
+        assert_eq!(mode, 0o600, "a restricted file was widened by a save");
+        assert_eq!(read_json_file::<Vec<u32>>(&path).unwrap(), vec![2u32; 4]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

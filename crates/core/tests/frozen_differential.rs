@@ -1,15 +1,14 @@
 //! Differential fixture: the frozen tape-free inference engine must stay
 //! inside the documented error budget against the recording-tape
-//! reference path — f32 max-abs ≤ 1e-5 with Kendall τ = 1.0, and rank
-//! preservation (τ ≥ 0.99) when CI re-runs this binary under
-//! `HWPR_INFER_PRECISION=f16` / `int8` — for every public predict
-//! method, every latency-head platform, and uneven final chunks.
+//! reference path — max-abs ≤ 1e-5 with Kendall τ = 1.0 — for every
+//! public predict method, every latency-head platform, and uneven final
+//! chunks.
 //!
 //! (Per-encoder-type differentials — AF / LSTM / GCN and combinations —
 //! live as unit tests in `hwpr_core::frozen`; here the full compiled
 //! model is exercised end to end.)
 
-use hwpr_core::{HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig};
+use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use proptest::prelude::*;
@@ -24,8 +23,7 @@ fn bench(n: usize) -> SimBench {
 }
 
 /// A scoring population larger than the training set, so batch widths
-/// 64 and 129 exercise uneven final chunks and Kendall τ has enough
-/// pairs to be meaningful.
+/// 64 and 129 exercise uneven final chunks.
 fn eval_archs(n: usize) -> Vec<Architecture> {
     bench(n)
         .entries()
@@ -34,13 +32,7 @@ fn eval_archs(n: usize) -> Vec<Architecture> {
         .collect()
 }
 
-fn tau(a: &[f64], b: &[f64]) -> f64 {
-    let af: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-    let bf: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-    hwpr_metrics::kendall_tau(&af, &bf).unwrap()
-}
-
-/// [`tau`], but `None` when either side is constant (`ZeroVariance`) —
+/// Kendall τ, or `None` when either side is constant (`ZeroVariance`) —
 /// rank preservation is vacuous on a degenerate column, e.g. the tiny
 /// fixture predicting one latency for every architecture.
 fn try_tau(a: &[f64], b: &[f64]) -> Option<f64> {
@@ -72,17 +64,6 @@ fn trained_multi() -> (HwPrNas, Vec<Architecture>) {
     (model, archs)
 }
 
-/// The precision the default frozen engine compiles at — the same env
-/// knob the engine itself reads. CI re-runs this test binary with
-/// `HWPR_INFER_PRECISION=f16` and `int8` to exercise the reduced-
-/// precision budget on every differential below.
-fn env_precision() -> Precision {
-    std::env::var("HWPR_INFER_PRECISION")
-        .ok()
-        .and_then(|spec| Precision::parse(&spec))
-        .unwrap_or(Precision::F32)
-}
-
 fn max_abs(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     a.iter()
@@ -91,23 +72,13 @@ fn max_abs(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Frozen-vs-tape score budget: at f32, max-abs ≤ 1e-5 and τ = 1.0; at
-/// f16/int8 the guarantee is rank preservation, τ ≥ 0.99.
+/// Frozen-vs-tape score budget: max-abs ≤ 1e-5 and τ = 1.0.
 fn assert_scores_within_budget(frozen: &[f64], tape: &[f64], what: &str) {
-    match env_precision() {
-        Precision::F32 => {
-            let worst = max_abs(frozen, tape);
-            assert!(worst <= 1e-5, "{what}: max-abs {worst:e} > 1e-5");
-            if frozen.len() > 2 {
-                if let Some(t) = try_tau(frozen, tape) {
-                    assert!(t >= 1.0, "{what}: Kendall tau {t:.4} < 1.0");
-                }
-            }
-        }
-        _ => {
-            if let Some(t) = try_tau(frozen, tape) {
-                assert!(t >= 0.99, "{what}: Kendall tau {t:.4} < 0.99");
-            }
+    let worst = max_abs(frozen, tape);
+    assert!(worst <= 1e-5, "{what}: max-abs {worst:e} > 1e-5");
+    if frozen.len() > 2 {
+        if let Some(t) = try_tau(frozen, tape) {
+            assert!(t >= 1.0, "{what}: Kendall tau {t:.4} < 1.0");
         }
     }
 }
@@ -122,29 +93,15 @@ fn assert_within_budget(model: &HwPrNas, archs: &[Architecture], platform: Platf
     assert_scores_within_budget(&ff_scores, &tf_scores, "full scores");
     let f_flat: Vec<f64> = ff_objs.iter().flatten().copied().collect();
     let t_flat: Vec<f64> = tf_objs.iter().flatten().copied().collect();
-    if env_precision() == Precision::F32 {
-        let worst = max_abs(&f_flat, &t_flat);
-        assert!(worst <= 1e-5, "full objectives: max-abs {worst:e} > 1e-5");
-    }
+    let worst = max_abs(&f_flat, &t_flat);
+    assert!(worst <= 1e-5, "full objectives: max-abs {worst:e} > 1e-5");
 
     let frozen_objs = model.predict_objectives(archs, platform).unwrap();
     let tape_objs = model.predict_objectives_tape(archs, platform).unwrap();
-    if env_precision() == Precision::F32 {
-        let f_flat: Vec<f64> = frozen_objs.iter().flat_map(|&(a, l)| [a, l]).collect();
-        let t_flat: Vec<f64> = tape_objs.iter().flat_map(|&(a, l)| [a, l]).collect();
-        let worst = max_abs(&f_flat, &t_flat);
-        assert!(worst <= 1e-5, "objectives: max-abs {worst:e} > 1e-5");
-    } else {
-        type ObjColumn = fn(&(f64, f64)) -> f64;
-        let pick: [(ObjColumn, &str); 2] = [(|o| o.0, "accuracy"), (|o| o.1, "latency")];
-        for (col, name) in pick {
-            let f: Vec<f64> = frozen_objs.iter().map(col).collect();
-            let t: Vec<f64> = tape_objs.iter().map(col).collect();
-            if let Some(tv) = try_tau(&f, &t) {
-                assert!(tv >= 0.99, "{name} objectives: Kendall tau {tv:.4} < 0.99");
-            }
-        }
-    }
+    let f_flat: Vec<f64> = frozen_objs.iter().flat_map(|&(a, l)| [a, l]).collect();
+    let t_flat: Vec<f64> = tape_objs.iter().flat_map(|&(a, l)| [a, l]).collect();
+    let worst = max_abs(&f_flat, &t_flat);
+    assert!(worst <= 1e-5, "objectives: max-abs {worst:e} > 1e-5");
 }
 
 #[test]
@@ -192,52 +149,12 @@ fn parallel_path_is_bit_identical_and_pack_free() {
 fn batched_engine_matches_serial_bit_identically() {
     let (model, _) = trained_single();
     let archs = eval_archs(160);
-    model.freeze_with(1, Precision::F32);
+    model.freeze_with_batch(1);
     let serial = model.predict_full(&archs, Platform::EdgeGpu).unwrap();
     for batch in [7usize, 64, 129] {
-        model.freeze_with(batch, Precision::F32);
+        model.freeze_with_batch(batch);
         let batched = model.predict_full(&archs, Platform::EdgeGpu).unwrap();
         assert_eq!(batched, serial, "batch width {batch} diverges from serial");
-    }
-}
-
-#[test]
-fn reduced_precision_preserves_rank_on_uneven_batches() {
-    let (model, _) = trained_single();
-    let archs = eval_archs(160);
-    model.freeze_with(64, Precision::F32);
-    let base = model.predict_scores(&archs, Platform::EdgeGpu).unwrap();
-    for precision in [Precision::F16, Precision::Int8] {
-        for batch in [1usize, 7, 64, 129] {
-            model.freeze_with(batch, precision);
-            let scores = model.predict_scores(&archs, Platform::EdgeGpu).unwrap();
-            let t = tau(&base, &scores);
-            assert!(
-                t >= 0.99,
-                "{} batch {batch}: Kendall tau {t:.4} < 0.99",
-                precision.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn quantized_rank_is_preserved_on_every_platform_head() {
-    let (model, _) = trained_multi();
-    let archs = eval_archs(160);
-    for &platform in model.platforms() {
-        model.freeze_with(64, Precision::F32);
-        let base = model.predict_scores(&archs, platform).unwrap();
-        for precision in [Precision::F16, Precision::Int8] {
-            model.freeze_with(64, precision);
-            let scores = model.predict_scores(&archs, platform).unwrap();
-            let t = tau(&base, &scores);
-            assert!(
-                t >= 0.99,
-                "{platform} {}: Kendall tau {t:.4} < 0.99",
-                precision.label()
-            );
-        }
     }
 }
 
@@ -260,16 +177,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Scores are per-architecture, so any prefix scored at any batch
-    // width must reproduce the tape reference within the f32 error
-    // budget (the engine is explicitly frozen at f32 here regardless of
-    // the env precision).
+    // width must reproduce the tape reference within the error budget.
     #[test]
     fn any_batch_width_stays_within_budget_of_the_tape(
         batch in 1usize..=160,
         len in 1usize..=48,
     ) {
         let (model, archs, tape) = proptest_fixture();
-        model.freeze_with(batch, Precision::F32);
+        model.freeze_with_batch(batch);
         let scores = model
             .predict_scores(&archs[..len], Platform::EdgeGpu)
             .unwrap();

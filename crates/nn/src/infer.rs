@@ -11,18 +11,14 @@
 //!
 //! # Error budget
 //!
-//! The frozen-vs-tape contract is a documented error budget, not f32
-//! bit-identity: at f32 a frozen forward must stay within **max-abs
-//! ≤ 1e-5** of the taped layer with **Kendall τ = 1.0** on the
-//! differential fixtures; at [`Precision::F16`]/[`Precision::Int8`] the
-//! guarantee is rank preservation (**τ ≥ 0.99** per platform head).
+//! The frozen-vs-tape contract is a documented error budget, not
+//! bit-identity: a frozen forward must stay within **max-abs ≤ 1e-5** of
+//! the taped layer with **Kendall τ = 1.0** on the differential fixtures.
 //! Budget rather than bits keeps the freeze path free to specialise —
-//! monomorphized fixed-shape GEMM kernels
-//! ([`PackedWeight::pack_for_inference`]), division-free activations,
-//! precision-tiered panels — without renegotiating the tests each time.
-//! In the current implementation the f32 path happens to land on exact
-//! bit-equality anyway (the frozen layers reuse the tape's fused
-//! pointwise kernels, and both the prepacked and static GEMM paths are
+//! division-free activations, fused kernels — without renegotiating the
+//! tests each time. In the current implementation the frozen path happens
+//! to land on exact bit-equality anyway (the frozen layers reuse the
+//! tape's fused pointwise kernels, and the prepacked GEMM is
 //! bit-identical to the unpacked driver), but only the budget is
 //! contractual. The tape stays the reference implementation, anchored by
 //! differential tests in `hwpr-core`; the rational-divide activations the
@@ -34,41 +30,7 @@
 
 use crate::{NnError, Result};
 use hwpr_autograd::{apply_bias_act, lstm_step_frozen, Act, AutogradError};
-use hwpr_tensor::{BufferPool, Matrix, PackedWeight, Precision};
-
-/// Whether a packed panel belongs to an encoder GEMM or an MLP regressor
-/// stack — the quantisation policy differs between the two.
-#[derive(Debug, Clone, Copy)]
-enum PanelRole {
-    /// GCN layers and LSTM steps: compute-dominant, noise-tolerant bulk.
-    Encoder,
-    /// [`FrozenLinear`] regressor layers feeding scalar heads.
-    Head,
-}
-
-/// The storage precision actually used for a `k x n` GEMM weight when the
-/// model is frozen at `requested` precision.
-///
-/// Quantisation follows the usual backbone/head split:
-///
-/// - encoder GEMMs take `requested` as-is, including int8 — they dominate
-///   the FLOP count and their noise is filtered by downstream layers;
-/// - the MLP regressor stacks cap at f16 under an int8 freeze: their
-///   outputs reach the scalar rank-critical heads within a hop or two and
-///   the reductions are too short for per-channel int8 noise to average
-///   out (int8 regressors cost ~0.01 Kendall τ; f16 is measurably free);
-/// - degenerate panels (`n == 1` scalar heads, `k < 4` dots shorter than
-///   one int8 lane group) stay f32.
-///
-/// [`Precision::F16`] quantises everything (binary16 weight rounding is
-/// far below the model's own noise floor).
-fn panel_precision(requested: Precision, role: PanelRole, k: usize, n: usize) -> Precision {
-    match (requested, role) {
-        (Precision::Int8, _) if n == 1 || k < 4 => Precision::F32,
-        (Precision::Int8, PanelRole::Head) => Precision::F16,
-        (p, _) => p,
-    }
-}
+use hwpr_tensor::{BufferPool, Matrix, PackedWeight};
 
 /// A [`crate::layers::Linear`] compiled for tape-free inference: prepacked
 /// weight panel plus a copied bias row.
@@ -87,25 +49,15 @@ impl FrozenLinear {
         bias: Option<&Matrix>,
         in_dim: usize,
         out_dim: usize,
-        precision: Precision,
     ) -> Self {
         let mut packed = PackedWeight::new();
-        packed.pack_for_inference(
-            weight,
-            panel_precision(precision, PanelRole::Head, in_dim, out_dim),
-        );
+        packed.pack(weight);
         Self {
             weight: packed,
             bias: bias.cloned(),
             in_dim,
             out_dim,
         }
-    }
-
-    /// The storage precision of the packed weight panel (may be f32 under
-    /// an int8 freeze when the layer is exempted, see [`panel_precision`]).
-    pub fn precision(&self) -> Precision {
-        self.weight.precision()
     }
 
     /// Input feature dimension.
@@ -203,15 +155,13 @@ impl FrozenLstm {
         stacked: Vec<(Matrix, Matrix)>,
         input_dim: usize,
         hidden_dim: usize,
-        precision: Precision,
     ) -> Self {
         let cells = stacked
             .into_iter()
             .enumerate()
             .map(|(l, (w, bias))| {
-                let (k, n) = w.shape();
                 let mut packed = PackedWeight::new();
-                packed.pack_for_inference(&w, panel_precision(precision, PanelRole::Encoder, k, n));
+                packed.pack(&w);
                 FrozenLstmCell {
                     weight: packed,
                     bias,
@@ -352,15 +302,9 @@ pub struct FrozenGcnLayer {
 
 impl FrozenGcnLayer {
     /// Packs the layer weight and copies the bias.
-    pub(crate) fn from_parts(
-        weight: &Matrix,
-        bias: &Matrix,
-        out_dim: usize,
-        precision: Precision,
-    ) -> Self {
-        let (k, n) = weight.shape();
+    pub(crate) fn from_parts(weight: &Matrix, bias: &Matrix, out_dim: usize) -> Self {
         let mut packed = PackedWeight::new();
-        packed.pack_for_inference(weight, panel_precision(precision, PanelRole::Encoder, k, n));
+        packed.pack(weight);
         Self {
             weight: packed,
             bias: bias.clone(),

@@ -78,20 +78,10 @@ impl GcnLayer {
     /// Compiles the layer for tape-free inference (prepacked weight plus a
     /// copied bias row).
     pub fn freeze(&self, params: &Params) -> crate::infer::FrozenGcnLayer {
-        self.freeze_with(params, hwpr_tensor::Precision::F32)
-    }
-
-    /// [`GcnLayer::freeze`] with the weight panel stored at `precision`.
-    pub fn freeze_with(
-        &self,
-        params: &Params,
-        precision: hwpr_tensor::Precision,
-    ) -> crate::infer::FrozenGcnLayer {
         crate::infer::FrozenGcnLayer::from_parts(
             params.get(self.weight),
             params.get(self.bias),
             self.out_dim,
-            precision,
         )
     }
 }

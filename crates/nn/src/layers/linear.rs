@@ -90,22 +90,11 @@ impl Linear {
     /// Compiles the layer for tape-free inference: the weight panel is
     /// packed once and the bias copied out of `params`.
     pub fn freeze(&self, params: &Params) -> crate::infer::FrozenLinear {
-        self.freeze_with(params, hwpr_tensor::Precision::F32)
-    }
-
-    /// [`Linear::freeze`] with the weight panel stored at `precision`
-    /// (scalar heads are exempted from int8; see `infer::panel_precision`).
-    pub fn freeze_with(
-        &self,
-        params: &Params,
-        precision: hwpr_tensor::Precision,
-    ) -> crate::infer::FrozenLinear {
         crate::infer::FrozenLinear::from_parts(
             params.get(self.weight),
             self.bias.map(|id| params.get(id)),
             self.in_dim,
             self.out_dim,
-            precision,
         )
     }
 }

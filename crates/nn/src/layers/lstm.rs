@@ -188,15 +188,6 @@ impl Lstm {
     /// `[W_ih; W_hh]` gate weight is stacked and packed once — the same
     /// concatenation the taped forward rebuilds (and repacks) every pass.
     pub fn freeze(&self, params: &Params) -> crate::infer::FrozenLstm {
-        self.freeze_with(params, hwpr_tensor::Precision::F32)
-    }
-
-    /// [`Lstm::freeze`] with the gate weight panels stored at `precision`.
-    pub fn freeze_with(
-        &self,
-        params: &Params,
-        precision: hwpr_tensor::Precision,
-    ) -> crate::infer::FrozenLstm {
         let stacked = self
             .cells
             .iter()
@@ -206,7 +197,7 @@ impl Lstm {
                 (w, params.get(cell.bias).clone())
             })
             .collect();
-        crate::infer::FrozenLstm::from_parts(stacked, self.input_dim, self.hidden_dim, precision)
+        crate::infer::FrozenLstm::from_parts(stacked, self.input_dim, self.hidden_dim)
     }
 }
 

@@ -139,26 +139,13 @@ impl Mlp {
     /// panel is packed once and dropout is statically elided (it is already
     /// the identity at inference).
     pub fn freeze(&self, params: &Params) -> crate::infer::FrozenMlp {
-        self.freeze_with(params, hwpr_tensor::Precision::F32)
-    }
-
-    /// [`Mlp::freeze`] with every layer's weight panel stored at
-    /// `precision` (scalar output heads are exempted from int8).
-    pub fn freeze_with(
-        &self,
-        params: &Params,
-        precision: hwpr_tensor::Precision,
-    ) -> crate::infer::FrozenMlp {
         let act = match self.activation {
             Activation::Relu => Act::Relu,
             Activation::Tanh => Act::Tanh,
             Activation::Sigmoid => Act::Sigmoid,
         };
         crate::infer::FrozenMlp::from_parts(
-            self.layers
-                .iter()
-                .map(|l| l.freeze_with(params, precision))
-                .collect(),
+            self.layers.iter().map(|l| l.freeze(params)).collect(),
             act,
         )
     }

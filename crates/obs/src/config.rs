@@ -121,7 +121,7 @@ pub fn init_from_env() -> bool {
 /// Shared warn-and-default parser for `HWPR_*` environment overrides.
 ///
 /// Every tunable in the workspace (`HWPR_THREADS`, `HWPR_INFER_BATCH`,
-/// `HWPR_INFER_PRECISION`, `HWPR_SCALE`) follows the same policy: a
+/// `HWPR_SCALE`, the `HWPR_SERVE_*` limits) follows the same policy: a
 /// value `parse` accepts is used as-is; anything else warns **through
 /// the telemetry event sink** — naming the variable, the expected
 /// grammar and the fallback actually taken — and returns `fallback`.

@@ -21,8 +21,8 @@ pub enum Event {
         parent: u64,
         /// Span name, e.g. `"search.moea"`.
         name: String,
-        /// Optional variant label, e.g. the precision of an
-        /// `"infer.frozen"` span. Omitted from the JSON when absent.
+        /// Optional variant label, e.g. the encoder branch of an
+        /// `"infer.encode"` span. Omitted from the JSON when absent.
         label: Option<String>,
         /// Dense lane id of the emitting thread (0 in pre-tracing
         /// captures; see [`crate::thread_id`]).

@@ -117,8 +117,8 @@ pub fn span(name: &'static str) -> Span {
     open(name, None, None)
 }
 
-/// Opens a span named `name` carrying a variant `label` (e.g. the panel
-/// precision of an `"infer.frozen"` span). The label rides on both the
+/// Opens a span named `name` carrying a variant `label` (e.g. the encoder
+/// branch of an `"infer.encode"` span). The label rides on both the
 /// start and end events and is rendered as `name[label]` by the report.
 /// Inert (and allocation-free) when telemetry is off.
 pub fn span_labeled(name: &'static str, label: &'static str) -> Span {

@@ -11,7 +11,6 @@ use hwpr_nasbench::{Dataset, SearchSpaceId};
 use hwpr_obs::sink::MemorySink;
 use hwpr_obs::{Event, Recorder};
 use hwpr_search::{Evaluator, HwPrNasEvaluator, IslandConfig, IslandSearch, Moea, MoeaConfig};
-use hwpr_tensor::Precision;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The recorder slot is process-global; tests that install one serialise
@@ -65,7 +64,7 @@ fn multi_threaded_search_captures_one_connected_trace() {
     // split the population across workers (at the default 256-wide batch
     // a small population fits one chunk and runs on the calling thread,
     // see `single_chunk_evaluation_runs_on_the_calling_thread`)
-    model.freeze_with(4, Precision::F32);
+    model.freeze_with_batch(4);
 
     for threads in [1usize, 2, 8] {
         let events = run_instrumented_search(&model, threads);

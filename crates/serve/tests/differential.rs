@@ -1,11 +1,10 @@
 //! Correctness differential: a round trip through the serving stack must
 //! return exactly what the frozen engine returns in-process — bit-for-bit
-//! at f32 (results cross the wire as exact `f64` bit patterns), and
-//! inside the workspace rank budget (Kendall τ ≥ 0.99 against the f32
-//! reference) at f16/int8 — including when the server coalesces uneven
-//! batches from interleaved clients into one forward.
+//! (results cross the wire as exact `f64` bit patterns) — including when
+//! the server coalesces uneven batches from interleaved clients into one
+//! forward.
 
-use hwpr_core::{HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig};
+use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_serve::{ModelRegistry, PredictKind, ServeClient, ServeConfig, Server};
@@ -33,16 +32,10 @@ fn pair_bits(v: &[(f64, f64)]) -> Vec<(u64, u64)> {
     v.iter().map(|(a, l)| (a.to_bits(), l.to_bits())).collect()
 }
 
-fn tau(a: &[f64], b: &[f64]) -> f64 {
-    let af: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-    let bf: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-    hwpr_metrics::kendall_tau(&af, &bf).unwrap()
-}
-
 #[test]
 fn round_trip_is_bit_identical_to_direct_frozen_inference_at_f32() {
     let (nas, archs) = trained(48);
-    nas.freeze_with(16, Precision::F32);
+    nas.freeze_with_batch(16);
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("default", Arc::clone(&nas));
     let served = registry.get("default").unwrap();
@@ -84,7 +77,7 @@ fn round_trip_is_bit_identical_to_direct_frozen_inference_at_f32() {
 #[test]
 fn coalesced_uneven_batches_split_back_bit_exactly() {
     let (nas, archs) = trained(80);
-    nas.freeze_with(16, Precision::F32);
+    nas.freeze_with_batch(16);
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("default", Arc::clone(&nas));
     let served = registry.get("default").unwrap();
@@ -149,7 +142,7 @@ fn coalesced_uneven_batches_split_back_bit_exactly() {
 #[test]
 fn scores_and_objectives_twins_split_back_bit_exactly() {
     let (nas, archs) = trained(80);
-    nas.freeze_with(16, Precision::F32);
+    nas.freeze_with_batch(16);
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("default", Arc::clone(&nas));
     let served = registry.get("default").unwrap();
@@ -194,40 +187,5 @@ fn scores_and_objectives_twins_split_back_bit_exactly() {
             .unwrap();
         assert_eq!(bits(&scores), bits(&direct_scores));
         assert_eq!(pair_bits(&objectives), pair_bits(&direct_objectives));
-    }
-}
-
-#[test]
-fn reduced_precision_round_trips_stay_inside_the_rank_budget() {
-    let (nas, archs) = trained(96);
-    nas.freeze_with(16, Precision::F32);
-    let f32_engine = nas.frozen();
-    let slot = 0;
-    let base = f32_engine
-        .predict_scores(nas.encoding_cache(), &archs, slot)
-        .unwrap();
-
-    for precision in [Precision::F16, Precision::Int8] {
-        nas.freeze_with(16, precision);
-        let registry = Arc::new(ModelRegistry::new());
-        registry.publish("quantized", Arc::clone(&nas));
-        let served = registry.get("quantized").unwrap();
-        assert_eq!(served.frozen().precision(), precision);
-        let direct = served
-            .frozen()
-            .predict_scores(served.cache(), &archs, slot)
-            .unwrap();
-
-        let server = Server::start(registry, ServeConfig::default()).unwrap();
-        let mut client = ServeClient::connect(server.addr()).unwrap();
-        let scores = client
-            .predict_scores("quantized", Platform::EdgeGpu, &archs)
-            .unwrap();
-
-        // the wire is exact: served == the same engine called directly
-        assert_eq!(bits(&scores), bits(&direct), "{precision:?} wire drift");
-        // and the engine itself stays inside the workspace rank budget
-        let t = tau(&base, &scores);
-        assert!(t >= 0.99, "{precision:?}: Kendall tau {t:.4} < 0.99");
     }
 }

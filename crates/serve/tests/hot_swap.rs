@@ -4,7 +4,7 @@
 //! response is bit-identical to one of the two engines' direct output,
 //! and the tail of the stream is all v2.
 
-use hwpr_core::{HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig};
+use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_serve::{ModelRegistry, ServeClient, ServeConfig, Server};
@@ -20,7 +20,7 @@ fn trained(seed: u64) -> Arc<HwPrNas> {
     let data =
         SurrogateDataset::from_simbench(&bench, Dataset::Cifar10, Platform::EdgeGpu).unwrap();
     let (model, _) = HwPrNas::fit(&data, &ModelConfig::tiny(), &TrainConfig::tiny()).unwrap();
-    model.freeze_with(16, Precision::F32);
+    model.freeze_with_batch(16);
     Arc::new(model)
 }
 

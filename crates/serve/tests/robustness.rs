@@ -3,7 +3,7 @@
 //! backpressure. The server must answer what it can answer, drop what it
 //! must drop, and keep serving everyone else.
 
-use hwpr_core::{HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig};
+use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_serve::{
@@ -21,7 +21,7 @@ fn trained() -> Arc<HwPrNas> {
     let data =
         SurrogateDataset::from_simbench(&bench, Dataset::Cifar10, Platform::EdgeGpu).unwrap();
     let (model, _) = HwPrNas::fit(&data, &ModelConfig::tiny(), &TrainConfig::tiny()).unwrap();
-    model.freeze_with(8, Precision::F32);
+    model.freeze_with_batch(8);
     Arc::new(model)
 }
 

@@ -23,11 +23,11 @@ pub const MR: usize = 8;
 /// Micro-kernel columns: C tile width held in registers.
 pub const NR: usize = 16;
 /// K-blocking: depth of the packed panels (sized for L1-resident strips).
-pub(crate) const KC: usize = 256;
+const KC: usize = 256;
 /// M-blocking: rows of A packed per inner block (L2-resident).
-pub(crate) const MC: usize = 128;
+const MC: usize = 128;
 /// N-blocking: columns of B packed per outer panel (L3-resident).
-pub(crate) const NC: usize = 512;
+const NC: usize = 512;
 
 /// How a logically `rows x cols` operand is laid out in its backing slice.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -51,7 +51,7 @@ fn load(src: &[f32], layout: Layout, rows: usize, cols: usize, r: usize, c: usiz
 /// Packs the `mc x kc` block of `A` at `(ic, pc)` into `MR`-row strips:
 /// strip `ir/MR` holds `kc` groups of `MR` consecutive logical rows,
 /// zero-padded past `mc` so the micro-kernel never reads out of bounds.
-pub(crate) fn pack_a(
+fn pack_a(
     a: &[f32],
     layout: Layout,
     (m, k): (usize, usize),
@@ -199,7 +199,7 @@ fn micro_kernel(kc: usize, a_strip: &[f32], b_strip: &[f32], acc: &mut [[f32; NR
 /// rows share its tile.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn direct_tile(
+fn direct_tile(
     kc: usize,
     a: &[f32],
     lda: usize,
@@ -521,7 +521,6 @@ fn gemm_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::static_gemm::{lookup, STATIC_SHAPES};
 
     fn det(len: usize, salt: usize) -> Vec<f32> {
         (0..len)
@@ -575,30 +574,29 @@ mod tests {
         1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 64, 129,
     ];
 
-    #[test]
-    fn static_driver_matches_scalar_reference_bitwise() {
-        for &(k, n) in STATIC_SHAPES {
-            let kernel = lookup(k, n).expect("registered shape must resolve");
-            let b = det(k * n, k + n);
-            let mut panels = Vec::new();
-            pack_b_full(&b, Layout::RowMajor, (k, n), &mut panels);
-            for m in ROWS {
-                let a = det(m * k, m);
-                let mut got = vec![f32::NAN; m * n];
-                kernel(&a, m, &panels, &mut got);
-                let expect = scalar_reference(&a, &b, (m, n, k));
-                assert_bits(&got, &expect, &format!("static {m}x{k}x{n}"));
-            }
-        }
-    }
+    /// `(k, n)` weight shapes: every layer GEMM of the frozen model
+    /// families, plus ragged columns, several `k` panels and several `jc`
+    /// panels.
+    #[rustfmt::skip]
+    const SHAPES: [(usize, usize); 25] = [
+        // fusion head (every config)
+        (2, 16), (16, 16), (16, 1),
+        // ModelConfig::tiny
+        (17, 16), (20, 48), (24, 16), (20, 16),
+        // ModelConfig::fast (the default)
+        (17, 96), (96, 96), (88, 256), (128, 256),
+        (104, 64), (72, 64), (64, 32), (32, 1),
+        // experiments `Scale::Fast` preset
+        (17, 64), (64, 64), (68, 192), (96, 192),
+        (72, 48), (56, 48), (48, 1),
+        // ragged columns, several `k` panels, several `jc` panels
+        (30, 40), (300, 24), (20, 530),
+    ];
 
     #[test]
     fn dynamic_driver_matches_scalar_reference_bitwise() {
-        // registered shapes plus ragged columns, several `k` panels and
-        // several `jc` panels; row-major `A` runs in place, transposed `A`
-        // through `pack_a`
-        let extra = [(30, 40), (300, 24), (20, 530)];
-        for &(k, n) in STATIC_SHAPES.iter().chain(&extra) {
+        // row-major `A` runs in place, transposed `A` through `pack_a`
+        for (k, n) in SHAPES {
             let b = det(k * n, k + n);
             let mut panels = Vec::new();
             pack_b_full(&b, Layout::RowMajor, (k, n), &mut panels);

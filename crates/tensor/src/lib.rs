@@ -28,10 +28,8 @@ mod matrix;
 mod ops;
 mod packed;
 mod pool;
-mod quant;
 pub mod reference;
 mod shape;
-mod static_gemm;
 mod telemetry;
 
 pub use fastmath::{fast_sigmoid, fast_sigmoid_block, fast_tanh, fast_tanh_block};
@@ -39,9 +37,7 @@ pub use init::{he_std, xavier_std, Init};
 pub use matrix::Matrix;
 pub use packed::PackedWeight;
 pub use pool::BufferPool;
-pub use quant::Precision;
 pub use shape::ShapeError;
-pub use static_gemm::{lookup as static_kernel_for, StaticKernelFn, STATIC_SHAPES};
 
 /// Convenience alias for fallible matrix operations.
 pub type Result<T> = std::result::Result<T, ShapeError>;

@@ -18,12 +18,6 @@ struct GemmMetrics {
     flops: Arc<Counter>,
     /// "tensor.pack.calls": full `B` prepack invocations.
     pack_calls: Arc<Counter>,
-    /// "tensor.pack.static": prepacks that bound a monomorphized
-    /// fixed-shape kernel (subset of `tensor.pack.calls`).
-    static_packs: Arc<Counter>,
-    /// "tensor.gemm.static_calls": GEMMs dispatched to a monomorphized
-    /// fixed-shape kernel instead of the blocked driver.
-    static_calls: Arc<Counter>,
     /// "tensor.gemm.us": per-call wall time in microseconds.
     time_us: Arc<Histogram>,
 }
@@ -34,8 +28,6 @@ fn metrics() -> &'static GemmMetrics {
         calls: registry().counter("tensor.gemm.calls"),
         flops: registry().counter("tensor.gemm.flops"),
         pack_calls: registry().counter("tensor.pack.calls"),
-        static_packs: registry().counter("tensor.pack.static"),
-        static_calls: registry().counter("tensor.gemm.static_calls"),
         time_us: registry().histogram(
             "tensor.gemm.us",
             &Histogram::exponential_bounds(1.0, 4.0, 10),
@@ -79,22 +71,5 @@ impl Drop for KernelTimer {
 pub(crate) fn note_pack() {
     if hwpr_obs::enabled() {
         metrics().pack_calls.inc();
-    }
-}
-
-/// Counts a prepack that resolved a monomorphized fixed-shape kernel.
-pub(crate) fn note_static_pack() {
-    if hwpr_obs::enabled() {
-        metrics().static_packs.inc();
-    }
-}
-
-/// Counts a GEMM served by a monomorphized fixed-shape kernel and its
-/// FLOPs (the static path bypasses the driver's [`KernelTimer`]).
-pub(crate) fn note_static_gemm((m, n, k): (usize, usize, usize)) {
-    if hwpr_obs::enabled() {
-        let metrics = metrics();
-        metrics.static_calls.inc();
-        metrics.flops.add(2 * (m * n * k) as u64);
     }
 }

@@ -15,7 +15,7 @@
 //! client/round grid); throughput numbers move with the host, the
 //! response payloads do not.
 
-use hw_pr_nas::core::{HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig};
+use hw_pr_nas::core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hw_pr_nas::hwmodel::{Platform, SimBench, SimBenchConfig};
 use hw_pr_nas::nasbench::{Architecture, Dataset, SearchSpaceId};
 use hw_pr_nas::obs::config::{TelemetrySpec, TELEMETRY_ENV};
@@ -38,7 +38,7 @@ fn train(seed: u64) -> Arc<HwPrNas> {
         .expect("bench is non-empty");
     let (model, _) =
         HwPrNas::fit(&data, &ModelConfig::fast(), &TrainConfig::tiny()).expect("training failed");
-    model.freeze_with(64, Precision::F16);
+    model.freeze_with_batch(64);
     Arc::new(model)
 }
 
@@ -137,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TelemetrySpec::parse(&value)?.install_or_warn();
     }
 
-    println!("training serving fixture (fast config, f16 panels) ...");
+    println!("training serving fixture (fast config) ...");
     let model = train(1);
     let archs = population(256);
     let registry = Arc::new(ModelRegistry::new());
