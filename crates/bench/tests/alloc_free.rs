@@ -254,7 +254,6 @@ fn warm_serving_loop_is_allocation_free() {
     let archs = fixture_archs(SearchSpaceId::NasBench201, 24);
     let config = ServeConfig {
         max_batch: 64,
-        batch_deadline: Duration::ZERO,
         request_timeout: Duration::from_secs(600),
         ..ServeConfig::default()
     };
@@ -275,30 +274,33 @@ fn warm_serving_loop_is_allocation_free() {
         (PredictKind::Scores, 12..24),
         (PredictKind::Objectives, 0..7),
     ];
+    // one connection's pipelined frames, admitted as one group; the
+    // group buffer is reused across rounds like the server's reader does
+    let mut group = Vec::with_capacity(windows.len());
     let mut round = |request_id: u64| {
         for (i, (kind, window)) in windows.iter().enumerate() {
             let mut buf = queue.take_arch_buf();
             buf.extend_from_slice(&archs[window.clone()]);
-            queue
-                .push(Pending {
-                    request_id: request_id + i as u64,
-                    kind: *kind,
-                    model: Arc::clone(&model),
-                    slot: 0,
-                    archs: buf,
-                    reply: Arc::clone(&sink) as Arc<dyn ReplySink>,
-                    arrived: Instant::now(),
-                })
-                .expect("queue has room");
+            group.push(Pending {
+                request_id: request_id + i as u64,
+                kind: *kind,
+                model: Arc::clone(&model),
+                slot: 0,
+                archs: buf,
+                reply: Arc::clone(&sink) as Arc<dyn ReplySink>,
+                arrived: Instant::now(),
+            });
         }
+        assert_eq!(queue.push(&mut group), windows.len(), "queue has room");
         let mut batches = 0;
         while worker.try_run_once(&queue) {
             batches += 1;
         }
         assert_eq!(batches, 1, "every window, twin included, shares one batch");
     };
-    // warm-up: queue ring, arch pool, worker staging/offset/output/frame
-    // buffers and the engine arena reach steady state
+    // warm-up: queue ring, arch pool, admission group, worker
+    // staging/offset/output/frame buffers and the engine arena reach
+    // steady state
     for r in 0..5 {
         round(r * 10);
     }

@@ -1,5 +1,8 @@
 //! Server tuning knobs and their `HWPR_SERVE_*` environment overrides.
 //!
+//! A batch's size follows the load, capped by `max_batch`: the
+//! admission queue is work-conserving (see [`crate::queue`]).
+//!
 //! Every variable follows the workspace warn-and-default policy
 //! (`hwpr_obs::env_or_else`): junk values warn through the telemetry
 //! sink and fall back — a typo must never silently change serving
@@ -7,12 +10,9 @@
 
 use std::time::Duration;
 
-/// `HWPR_SERVE_MAX_BATCH`: micro-batch coalesce target (rows).
+/// `HWPR_SERVE_MAX_BATCH`: most rows one coalesced forward takes from
+/// the queue (twins ride on top).
 pub const MAX_BATCH_ENV: &str = "HWPR_SERVE_MAX_BATCH";
-/// `HWPR_SERVE_BATCH_DEADLINE_US`: how long the queue may hold a request
-/// waiting for coalesce partners, in microseconds (`0` = no coalescing
-/// delay — every batch ships as soon as a worker is free).
-pub const DEADLINE_ENV: &str = "HWPR_SERVE_BATCH_DEADLINE_US";
 /// `HWPR_SERVE_WORKERS`: prediction worker threads (`0` = one per
 /// available core).
 pub const WORKERS_ENV: &str = "HWPR_SERVE_WORKERS";
@@ -23,11 +23,8 @@ pub const QUEUE_CAP_ENV: &str = "HWPR_SERVE_QUEUE_CAP";
 /// Default coalesce target. Matches the frozen engine's sweet spot: PR 6
 /// measured batch 64 at ~4.9x the per-architecture throughput of batch 1.
 pub const DEFAULT_MAX_BATCH: usize = 64;
-/// Default coalesce deadline (µs). Two orders of magnitude under a
-/// millisecond-scale client timeout, yet long enough for concurrent
-/// batch-1 clients on one host to pile onto the same forward.
-pub const DEFAULT_DEADLINE_US: u64 = 200;
-/// Default worker-thread count.
+/// Default worker-thread count. On a 2-vCPU host, one worker per core
+/// served the benchmark's search and open-loop traffic no faster.
 pub const DEFAULT_WORKERS: usize = 1;
 /// Default admission-queue capacity.
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
@@ -37,11 +34,9 @@ const MAX_WORKERS: usize = 256;
 /// Runtime configuration for a [`crate::Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Coalesce target: the queue releases a batch once this many rows
-    /// for one (model, platform, kind) key are waiting.
+    /// Coalesce target: a free worker takes at most this many rows for
+    /// one (model, platform, kind) key from what is already queued.
     pub max_batch: usize,
-    /// How long the queue holds a leader request for coalesce partners.
-    pub batch_deadline: Duration,
     /// Prediction worker threads (`0` = one per available core).
     pub workers: usize,
     /// Admission-queue capacity (requests) before shedding.
@@ -55,7 +50,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: DEFAULT_MAX_BATCH,
-            batch_deadline: Duration::from_micros(DEFAULT_DEADLINE_US),
             workers: DEFAULT_WORKERS,
             queue_cap: DEFAULT_QUEUE_CAP,
             request_timeout: Duration::from_secs(5),
@@ -69,9 +63,6 @@ impl ServeConfig {
     pub fn with_env_overrides(mut self) -> Self {
         if std::env::var(MAX_BATCH_ENV).is_ok() {
             self.max_batch = max_batch();
-        }
-        if std::env::var(DEADLINE_ENV).is_ok() {
-            self.batch_deadline = Duration::from_micros(batch_deadline_us());
         }
         if std::env::var(WORKERS_ENV).is_ok() {
             self.workers = worker_override();
@@ -113,19 +104,6 @@ pub fn max_batch() -> usize {
     )
 }
 
-/// Coalesce deadline in µs: `HWPR_SERVE_BATCH_DEADLINE_US` when set to a
-/// non-negative integer (`0` disables coalescing delay), otherwise
-/// [`DEFAULT_DEADLINE_US`].
-pub fn batch_deadline_us() -> u64 {
-    hwpr_obs::env_or_else(
-        DEADLINE_ENV,
-        "a non-negative integer (microseconds)",
-        parse_u64,
-        || DEFAULT_DEADLINE_US,
-        DEFAULT_DEADLINE_US,
-    )
-}
-
 /// Worker threads: `HWPR_SERVE_WORKERS` when set to an integer in
 /// `0..=256` (`0` = one per core), otherwise [`DEFAULT_WORKERS`].
 pub fn worker_override() -> usize {
@@ -154,10 +132,6 @@ fn parse_positive(spec: &str) -> Option<usize> {
     spec.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
-fn parse_u64(spec: &str) -> Option<u64> {
-    spec.trim().parse::<u64>().ok()
-}
-
 fn parse_workers(spec: &str) -> Option<usize> {
     spec.trim()
         .parse::<usize>()
@@ -175,16 +149,6 @@ pub(crate) mod spec {
             spec,
             super::parse_positive,
             super::DEFAULT_MAX_BATCH,
-        )
-    }
-
-    pub(crate) fn deadline_us(spec: &str) -> u64 {
-        hwpr_obs::spec_or(
-            super::DEADLINE_ENV,
-            "a non-negative integer (microseconds)",
-            spec,
-            super::parse_u64,
-            super::DEFAULT_DEADLINE_US,
         )
     }
 
@@ -213,7 +177,7 @@ pub(crate) mod spec {
 mod tests {
     use super::*;
 
-    /// The 4-variable parse matrix (mirrors the `HWPR_ISLANDS` /
+    /// The 3-variable parse matrix (mirrors the `HWPR_ISLANDS` /
     /// `HWPR_MIGRATION_EVERY` / `HWPR_CHECKPOINT_EVERY` matrix from the
     /// island-search PR): every knob accepts its grammar and
     /// warn-falls-back to its documented default on junk.
@@ -226,14 +190,6 @@ mod tests {
         assert_eq!(spec::max_batch("-8"), DEFAULT_MAX_BATCH);
         assert_eq!(spec::max_batch("lots"), DEFAULT_MAX_BATCH);
         assert_eq!(spec::max_batch(""), DEFAULT_MAX_BATCH);
-
-        // HWPR_SERVE_BATCH_DEADLINE_US: non-negative integer, 0 allowed
-        assert_eq!(spec::deadline_us("0"), 0);
-        assert_eq!(spec::deadline_us(" 250 "), 250);
-        assert_eq!(spec::deadline_us("-1"), DEFAULT_DEADLINE_US);
-        assert_eq!(spec::deadline_us("0.5"), DEFAULT_DEADLINE_US);
-        assert_eq!(spec::deadline_us("soon"), DEFAULT_DEADLINE_US);
-        assert_eq!(spec::deadline_us(""), DEFAULT_DEADLINE_US);
 
         // HWPR_SERVE_WORKERS: 0..=256 (0 = auto)
         assert_eq!(spec::workers("0"), 0);

@@ -13,15 +13,15 @@
 //!   with atomic hot-swap when a retrained model is published or
 //!   persisted (in-flight batches finish on the old `Arc`; the hot path
 //!   never takes the registry lock);
-//! - [`queue`] — an admission queue with **adaptive micro-batching**:
-//!   concurrent requests for the same (model, platform, kind) coalesce
-//!   into one batched SoA forward before a configurable deadline
-//!   (`HWPR_SERVE_MAX_BATCH` / `HWPR_SERVE_BATCH_DEADLINE_US`), so the
-//!   server enters the frozen engine at batch 64 even when every client
-//!   sends batch 1; a request of the other kind for an identical row
-//!   list rides the same forward at no extra row cost;
+//! - [`queue`] — a **work-conserving** admission queue: a free worker
+//!   takes every queued request for the same (model, platform, kind), up
+//!   to `HWPR_SERVE_MAX_BATCH` rows, into one batched SoA forward and
+//!   never waits for more, so batches grow with the load and a lone
+//!   request pays no coalescing delay; a request of the other kind for
+//!   an identical row list rides the same forward at no extra row cost;
 //! - [`server`] / [`client`] — the blocking TCP acceptor/worker runtime
-//!   and a pipelining-capable client.
+//!   (buffered connection readers that admit every complete pipelined
+//!   frame as one group) and a pipelining-capable client.
 //!
 //! Worker loops own pooled [`hwpr_core::InferArena`]s and recycle every
 //! request buffer, so the warm serving loop performs zero heap

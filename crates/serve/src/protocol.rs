@@ -138,6 +138,20 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>, max: usize) -> io::Resul
     Ok(true)
 }
 
+/// The size, length prefix included, of the frame at the start of `buf`
+/// when all of it is there; `None` while it is still partial.
+///
+/// A connection reader asks this of the bytes it has already buffered
+/// to decide whether one more frame can be decoded without touching the
+/// socket. The answer agrees with [`read_frame`] on where the frame
+/// ends. A prefix claiming more than [`MAX_FRAME`] bytes is never
+/// complete: the next [`read_frame`] rejects it.
+pub fn buffered_frame_len(buf: &[u8]) -> Option<usize> {
+    let prefix = buf.get(..4)?;
+    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+    (len <= MAX_FRAME && buf.len() - 4 >= len).then_some(4 + len)
+}
+
 fn push_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -691,5 +705,98 @@ mod tests {
         wire.truncate(wire.len() - 2);
         let mut r = &wire[..];
         assert!(read_frame(&mut r, &mut buf, MAX_FRAME).is_err());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Where `read_frame` says the frame at the start of `bytes` ends:
+    /// `Some(consumed)` when it returns a whole frame, else `None`.
+    fn read_frame_end(bytes: &[u8]) -> Option<usize> {
+        let mut r = bytes;
+        let mut buf = Vec::new();
+        match read_frame(&mut r, &mut buf, MAX_FRAME) {
+            Ok(true) => Some(bytes.len() - r.len()),
+            _ => None,
+        }
+    }
+
+    fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        collection::vec(0u8..=255, len)
+    }
+
+    #[test]
+    fn a_whole_frame_of_exactly_the_cap_is_complete() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &vec![7u8; MAX_FRAME]).unwrap();
+        assert_eq!(buffered_frame_len(&wire), Some(wire.len()));
+        assert_eq!(read_frame_end(&wire), Some(wire.len()));
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_and_agree_with_read_frame(raw in bytes(0..48)) {
+            prop_assert_eq!(buffered_frame_len(&raw), read_frame_end(&raw));
+        }
+
+        #[test]
+        fn small_prefixes_agree_with_read_frame(len in 0u32..40, tail in bytes(0..64)) {
+            let mut raw = len.to_le_bytes().to_vec();
+            raw.extend_from_slice(&tail);
+            let end = buffered_frame_len(&raw);
+            prop_assert_eq!(end, read_frame_end(&raw));
+            prop_assert_eq!(end.is_some(), tail.len() >= len as usize);
+        }
+
+        #[test]
+        fn oversized_prefixes_are_never_complete(
+            len in (MAX_FRAME as u32 + 1)..=u32::MAX,
+            tail in bytes(0..64),
+        ) {
+            let mut raw = len.to_le_bytes().to_vec();
+            raw.extend_from_slice(&tail);
+            prop_assert_eq!(buffered_frame_len(&raw), None);
+        }
+
+        #[test]
+        fn a_whole_frame_over_the_cap_is_never_complete(over in 1usize..64, tail in bytes(0..64)) {
+            let len = MAX_FRAME + over;
+            let mut raw = (len as u32).to_le_bytes().to_vec();
+            raw.resize(4 + len, 7);
+            raw.extend_from_slice(&tail);
+            prop_assert_eq!(buffered_frame_len(&raw), None);
+            prop_assert_eq!(read_frame_end(&raw), None);
+        }
+
+        #[test]
+        fn a_pipelined_stream_split_anywhere_yields_its_frames(
+            payloads in collection::vec(bytes(0..32), 1..8),
+            cuts in collection::vec(0usize..400, 0..6),
+        ) {
+            let mut wire = Vec::new();
+            for p in &payloads {
+                write_frame(&mut wire, p).unwrap();
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (wire.len() + 1)).collect();
+            cuts.push(wire.len());
+            cuts.sort_unstable();
+            // feed the stream chunk by chunk, popping every complete frame
+            let mut buffered = Vec::new();
+            let mut frames = Vec::new();
+            let mut at = 0;
+            for cut in cuts {
+                buffered.extend_from_slice(&wire[at..cut]);
+                at = cut;
+                while let Some(n) = buffered_frame_len(&buffered) {
+                    frames.push(buffered[4..n].to_vec());
+                    buffered.drain(..n);
+                }
+            }
+            prop_assert!(buffered.is_empty());
+            prop_assert_eq!(frames, payloads);
+        }
     }
 }

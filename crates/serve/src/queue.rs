@@ -1,17 +1,21 @@
-//! The admission queue and its adaptive micro-batching policy, plus the
-//! worker loop that drains it into the frozen engine.
+//! The admission queue and its work-conserving micro-batching policy,
+//! plus the worker loop that drains it into the frozen engine.
 //!
-//! # Micro-batch deadline math
+//! # Work-conserving batching
 //!
-//! The first waiting request (the *leader*) opens a coalesce window: the
-//! queue releases a batch as soon as `max_batch` rows compatible with
-//! the leader are waiting, or when `leader.arrived + batch_deadline`
-//! passes — whichever comes first. The deadline therefore bounds the
-//! latency a lone request can pay for the throughput of a full batch:
-//! worst-case added latency is exactly `batch_deadline`, while under
-//! load the window fills long before it expires and adds ~0. A deadline
-//! of `0` disables coalescing delay entirely (the uncoalesced baseline
-//! the `serving_throughput` bench compares against).
+//! A free worker never waits for a batch to fill. It takes the first
+//! waiting request (the *leader*) and every compatible request already
+//! queued behind it, up to `max_batch` rows, and runs them at once. A
+//! lone request therefore pays no coalescing delay, while under load
+//! batches still grow: whatever arrives during one forward is waiting
+//! when the next worker comes back. When a worker leaves work behind it
+//! wakes one more, so every idle worker finds the queued batches.
+//!
+//! Requests are admitted in groups: a connection reader decodes every
+//! complete frame it has buffered and hands them to [`BatchQueue::push`]
+//! together, under one lock and with one wake-up. A client's pipelined
+//! frames (a search client's Scores + Objectives pair) are therefore in
+//! the queue together before any worker can see the first of them.
 //!
 //! Compatibility is `Arc` identity of the served model plus the latency
 //! head slot and prediction kind — so requests split across a hot-swap
@@ -68,8 +72,8 @@ pub struct Pending {
     pub archs: Vec<Architecture>,
     /// Reply transport.
     pub reply: Arc<dyn ReplySink>,
-    /// Admission timestamp (drives the coalesce deadline, the request
-    /// timeout and the latency histogram).
+    /// Admission timestamp (drives the request timeout and the latency
+    /// histogram).
     pub arrived: Instant,
 }
 
@@ -98,7 +102,6 @@ pub struct BatchQueue {
     ready: Condvar,
     queue_cap: usize,
     max_batch: usize,
-    deadline: Duration,
 }
 
 impl std::fmt::Debug for BatchQueue {
@@ -106,20 +109,18 @@ impl std::fmt::Debug for BatchQueue {
         f.debug_struct("BatchQueue")
             .field("queue_cap", &self.queue_cap)
             .field("max_batch", &self.max_batch)
-            .field("deadline", &self.deadline)
             .finish()
     }
 }
 
 impl BatchQueue {
-    /// A queue with `config`'s capacity, coalesce target and deadline.
+    /// A queue with `config`'s capacity and coalesce target.
     pub fn new(config: &ServeConfig) -> Self {
         Self {
             inner: Mutex::new(QueueInner::default()),
             ready: Condvar::new(),
             queue_cap: config.queue_cap.max(1),
             max_batch: config.max_batch.max(1),
-            deadline: config.batch_deadline,
         }
     }
 
@@ -139,41 +140,40 @@ impl BatchQueue {
         self.inner.lock().expect("queue lock").arch_pool.push(buf);
     }
 
-    /// Admits a request. On a full queue the request comes back as
-    /// `Err` — the caller sheds it with an `Overloaded` reply.
-    #[allow(clippy::result_large_err)]
-    pub fn push(&self, pending: Pending) -> Result<(), Pending> {
+    /// Admits `group` in order, under one lock and with one wake-up, as
+    /// far as the queue has room. What the queue had no room for (or
+    /// everything, once it shut down) stays in `group`, in order: the
+    /// caller sheds it with `Overloaded` replies. Returns how many
+    /// requests were admitted.
+    pub fn push(&self, group: &mut Vec<Pending>) -> usize {
         let mut inner = self.inner.lock().expect("queue lock");
-        if inner.shutdown || inner.pending.len() >= self.queue_cap {
-            return Err(pending);
-        }
-        let rows = pending.archs.len() as i64;
-        inner.pending.push_back(pending);
+        let room = if inner.shutdown {
+            0
+        } else {
+            self.queue_cap.saturating_sub(inner.pending.len())
+        };
+        let admitted = room.min(group.len());
+        let rows: usize = group[..admitted].iter().map(|p| p.archs.len()).sum();
+        inner.pending.extend(group.drain(..admitted));
         let depth = inner.pending.len();
         drop(inner);
+        if admitted == 0 {
+            return 0;
+        }
         self.ready.notify_one();
         if hwpr_obs::enabled() {
             let m = metrics();
-            m.requests.inc();
+            m.requests.add(admitted as u64);
             m.queue_depth.set(depth as f64);
-            m.inflight_add(rows);
+            m.inflight_add(rows as i64);
         }
-        Ok(())
+        admitted
     }
 
     /// Marks the queue shut down and wakes every waiting worker.
     pub fn shutdown(&self) {
         self.inner.lock().expect("queue lock").shutdown = true;
         self.ready.notify_all();
-    }
-
-    /// Rows in the queue compatible with `leader` (including itself).
-    fn compatible_rows(pending: &VecDeque<Pending>, leader: &Pending) -> usize {
-        pending
-            .iter()
-            .filter(|p| Self::compatible(p, leader))
-            .map(|p| p.archs.len())
-            .sum()
     }
 
     fn compatible(a: &Pending, b: &Pending) -> bool {
@@ -191,52 +191,33 @@ impl BatchQueue {
             && riders.iter().any(|r| r.archs == p.archs)
     }
 
-    /// Blocks until a batch is ready (or the queue shuts down), then
-    /// moves the leader and every compatible follower — up to the
-    /// coalesce target — into `out`. Returns `false` on shutdown.
+    /// Blocks until a request is waiting (or the queue shuts down),
+    /// then moves the leader and every compatible request already queued
+    /// — up to the coalesce target — and their twins into `out`. Returns
+    /// `false` on shutdown.
     pub fn next_batch(&self, out: &mut Vec<Pending>) -> bool {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if inner.shutdown {
                 return false;
             }
-            if inner.pending.is_empty() {
-                inner = self.ready.wait(inner).expect("queue lock");
-                continue;
-            }
-            // a leader is waiting: hold its coalesce window open until
-            // the target fills or the deadline passes
-            let deadline = inner.pending[0].arrived + self.deadline;
-            loop {
-                if inner.shutdown {
-                    return false;
-                }
-                let Some(leader) = inner.pending.front() else {
-                    break; // another worker drained the queue
-                };
-                if Self::compatible_rows(&inner.pending, leader) >= self.max_batch {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .ready
-                    .wait_timeout(inner, deadline - now)
-                    .expect("queue lock");
-                inner = guard;
-            }
             if self.extract(&mut inner, out) {
+                let more = !inner.pending.is_empty();
+                drop(inner);
+                if more {
+                    // the group's wake-up reached one worker; pass the
+                    // rest of the work on to another
+                    self.ready.notify_one();
+                }
                 return true;
             }
+            inner = self.ready.wait(inner).expect("queue lock");
         }
     }
 
-    /// Non-blocking variant of [`Self::next_batch`]: collects whatever
-    /// is already waiting without honouring the deadline. Returns
-    /// `false` when the queue is empty. Test and drain harnesses use
-    /// this; the server workers use the blocking form.
+    /// Non-blocking variant of [`Self::next_batch`]: returns `false` when
+    /// the queue is empty. Test and drain harnesses use this; the server
+    /// workers use the blocking form.
     pub fn try_next_batch(&self, out: &mut Vec<Pending>) -> bool {
         let mut inner = self.inner.lock().expect("queue lock");
         self.extract(&mut inner, out)
@@ -549,12 +530,11 @@ mod tests {
     fn twin_config(max_batch: usize) -> ServeConfig {
         ServeConfig {
             max_batch,
-            batch_deadline: Duration::ZERO,
             ..ServeConfig::default()
         }
     }
 
-    /// Admits a request for `rows` asking for `kind`.
+    /// Admits a request for `rows` asking for `kind`, as a group of one.
     fn push(
         queue: &BatchQueue,
         model: &Arc<ServedModel>,
@@ -563,9 +543,8 @@ mod tests {
         kind: PredictKind,
         rows: &[Architecture],
     ) {
-        queue
-            .push(request(model, queue, sink, id, kind, rows))
-            .unwrap();
+        let mut group = vec![request(model, queue, sink, id, kind, rows)];
+        assert_eq!(queue.push(&mut group), 1);
     }
 
     #[test]
@@ -577,7 +556,10 @@ mod tests {
         // the Scores leader fills the row target on its own: the other
         // Scores request must wait, but the Objectives twin rides along
         push(&queue, &model, &sink, 1, PredictKind::Scores, &rows);
-        queue.push(pending(&model, &queue, &sink, 2, 3)).unwrap();
+        assert_eq!(
+            queue.push(&mut vec![pending(&model, &queue, &sink, 2, 3)]),
+            1
+        );
         push(&queue, &model, &sink, 3, PredictKind::Objectives, &rows);
         let mut batch = Vec::new();
         assert!(queue.try_next_batch(&mut batch));
@@ -631,15 +613,19 @@ mod tests {
         let sink = CountingSink::new();
         let config = ServeConfig {
             max_batch: 8,
-            batch_deadline: Duration::ZERO,
             queue_cap: 2,
             ..ServeConfig::default()
         };
         let queue = BatchQueue::new(&config);
-        assert!(queue.push(pending(&model, &queue, &sink, 1, 3)).is_ok());
-        assert!(queue.push(pending(&model, &queue, &sink, 2, 3)).is_ok());
-        // cap reached: the third admission is bounced back
-        assert!(queue.push(pending(&model, &queue, &sink, 3, 3)).is_err());
+        let mut group: Vec<Pending> = (1..=3)
+            .map(|id| pending(&model, &queue, &sink, id, 3))
+            .collect();
+        // the group fills the queue to its cap: the third request is
+        // bounced back to the caller
+        assert_eq!(queue.push(&mut group), 2);
+        assert_eq!(ids(&group), [3]);
+        assert_eq!(queue.push(&mut group), 0, "a full queue admits nothing");
+        assert_eq!(ids(&group), [3]);
 
         let mut worker = WorkerState::new(&config, SpanContext::NONE);
         assert!(worker.try_run_once(&queue));
@@ -654,12 +640,14 @@ mod tests {
         let sink = CountingSink::new();
         let config = ServeConfig {
             max_batch: 8,
-            batch_deadline: Duration::ZERO,
             request_timeout: Duration::ZERO,
             ..ServeConfig::default()
         };
         let queue = BatchQueue::new(&config);
-        queue.push(pending(&model, &queue, &sink, 1, 2)).unwrap();
+        assert_eq!(
+            queue.push(&mut vec![pending(&model, &queue, &sink, 1, 2)]),
+            1
+        );
         let mut worker = WorkerState::new(&config, SpanContext::NONE);
         assert!(worker.try_run_once(&queue));
         let frames = sink.frames.lock();
@@ -684,6 +672,74 @@ mod tests {
         // pushes after shutdown bounce
         let model = tiny_served();
         let sink = CountingSink::new();
-        assert!(queue.push(pending(&model, &queue, &sink, 1, 1)).is_err());
+        let mut group = vec![pending(&model, &queue, &sink, 1, 1)];
+        assert_eq!(queue.push(&mut group), 0);
+        assert_eq!(ids(&group), [1]);
+    }
+
+    #[test]
+    fn a_lone_request_ships_without_waiting_for_partners() {
+        let model = tiny_served();
+        let sink = CountingSink::new();
+        let queue = Arc::new(BatchQueue::new(&twin_config(64)));
+        let q = Arc::clone(&queue);
+        let waiter = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            assert!(q.next_batch(&mut out));
+            ids(&out)
+        });
+        // one row against a 64-row target: a worker blocked in
+        // `next_batch` takes it as soon as it is admitted
+        push(&queue, &model, &sink, 1, PredictKind::Scores, &cells(40, 1));
+        assert_eq!(waiter.join().unwrap(), [1]);
+    }
+
+    #[test]
+    fn a_group_of_two_batches_reaches_two_idle_workers() {
+        let model = tiny_served();
+        let sink = CountingSink::new();
+        let queue = Arc::new(BatchQueue::new(&twin_config(64)));
+        // each worker takes one batch and reports it; the second batch
+        // reaches the second worker only if the first one passes the
+        // group's single wake-up on
+        let (done, taken) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, done) = (Arc::clone(&queue), done.clone());
+                std::thread::spawn(move || {
+                    let mut out = Vec::new();
+                    assert!(q.next_batch(&mut out));
+                    done.send(ids(&out)).unwrap();
+                })
+            })
+            .collect();
+        // give both workers time to block in `next_batch`; correct code
+        // passes whether or not they did
+        std::thread::sleep(Duration::from_millis(20));
+        // two kinds for different rows: two batches, one wake-up
+        let mut group = vec![
+            request(&model, &queue, &sink, 1, PredictKind::Scores, &cells(40, 2)),
+            request(
+                &model,
+                &queue,
+                &sink,
+                2,
+                PredictKind::Objectives,
+                &cells(60, 2),
+            ),
+        ];
+        assert_eq!(queue.push(&mut group), 2);
+        let mut got: Vec<Vec<u64>> = (0..2)
+            .map(|_| {
+                taken
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("an idle worker was never woken")
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        got.sort();
+        assert_eq!(got, [[1], [2]]);
     }
 }

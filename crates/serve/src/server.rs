@@ -4,6 +4,10 @@
 //! serves are compute-bound microsecond forwards, so thread-per-
 //! connection readers + a shared worker pool is the simplest shape that
 //! keeps the hot path allocation-free.
+//!
+//! A reader buffers its socket, decodes every complete frame the buffer
+//! holds and admits their predict requests to the queue as one group,
+//! so frames a client pipelined in one write never straddle a batch.
 
 use crate::config::ServeConfig;
 use crate::protocol::{
@@ -14,7 +18,7 @@ use crate::queue::{BatchQueue, Pending, ReplySink, WorkerState};
 use crate::registry::{ModelRegistry, RegistryCache};
 use crate::telemetry::metrics;
 use crate::ServeError;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -207,7 +211,12 @@ impl ReplySink for TcpReplySink {
     }
 }
 
-fn handle_conn(mut stream: &TcpStream, shared: &Arc<Shared>) {
+/// Bytes a connection reader buffers. Enough for a NAS-Bench-201
+/// Scores + Objectives pair at the largest request batch (2 × 4096 rows
+/// × 7 bytes ≈ 57 KiB), so even such a pair can arrive as one group.
+const READ_BUF: usize = 64 * 1024;
+
+fn handle_conn(stream: &TcpStream, shared: &Arc<Shared>) {
     let reply = Arc::new(TcpReplySink {
         stream: parking_lot::Mutex::new(match stream.try_clone() {
             Ok(clone) => clone,
@@ -218,11 +227,13 @@ fn handle_conn(mut stream: &TcpStream, shared: &Arc<Shared>) {
         }),
         dead: AtomicBool::new(false),
     });
+    let mut reader = BufReader::with_capacity(READ_BUF, stream);
     let mut cache = RegistryCache::new();
     let mut frame = Vec::new();
     let mut reply_buf = Vec::new();
+    let mut group = Vec::new();
     loop {
-        match protocol::read_frame(&mut stream, &mut frame, MAX_FRAME) {
+        match protocol::read_frame(&mut reader, &mut frame, MAX_FRAME) {
             Ok(true) => {}
             Ok(false) => return, // clean close at a frame boundary
             Err(e) => {
@@ -234,63 +245,113 @@ fn handle_conn(mut stream: &TcpStream, shared: &Arc<Shared>) {
                 return;
             }
         }
-        let _span = hwpr_obs::span_with_parent("serve.request", shared.ctx);
-        let mut archs = shared.queue.take_arch_buf();
-        let head = match protocol::decode_request(&frame, &mut archs) {
-            Ok(head) => head,
-            Err(DecodeError {
-                request_id,
-                message,
-            }) => {
-                // request-level garbage: reply with the error, keep the
-                // connection (the framing itself was intact)
-                if hwpr_obs::enabled() {
-                    metrics().errors.inc();
-                }
-                hwpr_obs::warn(format!("serve: malformed request: {message}"));
-                protocol::encode_error_response(&mut reply_buf, request_id, STATUS_ERROR, &message);
-                reply.send(&reply_buf);
-                shared.queue.recycle_arch_buf(archs);
-                continue;
+        // decode every complete frame already buffered, then admit their
+        // predict requests together: a pipelined Scores + Objectives pair
+        // reaches the queue as one group, so the twin cannot miss its
+        // partner's batch
+        handle_frame(
+            shared,
+            &mut cache,
+            &frame,
+            &reply,
+            &mut reply_buf,
+            &mut group,
+        );
+        while let Some(len) = protocol::buffered_frame_len(reader.buffer()) {
+            let payload = &reader.buffer()[4..len];
+            handle_frame(
+                shared,
+                &mut cache,
+                payload,
+                &reply,
+                &mut reply_buf,
+                &mut group,
+            );
+            reader.consume(len);
+        }
+        shared.queue.push(&mut group);
+        for bounced in group.drain(..) {
+            if hwpr_obs::enabled() {
+                metrics().overloaded.inc();
             }
-        };
-        match head.opcode {
-            OP_LIST_MODELS => {
-                protocol::encode_list_response(
-                    &mut reply_buf,
-                    head.request_id,
-                    &shared.registry.list(),
-                );
-                reply.send(&reply_buf);
-                shared.queue.recycle_arch_buf(archs);
-            }
-            OP_PREDICT_SCORES | OP_PREDICT_OBJECTIVES => {
-                admit(shared, &mut cache, &head, archs, &reply, &mut reply_buf);
-            }
-            other => {
-                // decode_request validated opcodes, so this is
-                // unreachable in practice; answer defensively anyway
-                protocol::encode_error_response(
-                    &mut reply_buf,
-                    head.request_id,
-                    STATUS_ERROR,
-                    &format!("unsupported opcode {other}"),
-                );
-                reply.send(&reply_buf);
-                shared.queue.recycle_arch_buf(archs);
-            }
+            protocol::encode_error_response(
+                &mut reply_buf,
+                bounced.request_id,
+                STATUS_OVERLOADED,
+                "admission queue full",
+            );
+            reply.send(&reply_buf);
+            shared.queue.recycle_arch_buf(bounced.archs);
         }
     }
 }
 
-fn admit(
+/// Answers one request frame inline, or resolves a predict request and
+/// appends it to `group` for admission.
+fn handle_frame(
+    shared: &Arc<Shared>,
+    cache: &mut RegistryCache,
+    frame: &[u8],
+    reply: &Arc<TcpReplySink>,
+    reply_buf: &mut Vec<u8>,
+    group: &mut Vec<Pending>,
+) {
+    let _span = hwpr_obs::span_with_parent("serve.request", shared.ctx);
+    let mut archs = shared.queue.take_arch_buf();
+    let head = match protocol::decode_request(frame, &mut archs) {
+        Ok(head) => head,
+        Err(DecodeError {
+            request_id,
+            message,
+        }) => {
+            // request-level garbage: reply with the error, keep the
+            // connection (the framing itself was intact)
+            if hwpr_obs::enabled() {
+                metrics().errors.inc();
+            }
+            hwpr_obs::warn(format!("serve: malformed request: {message}"));
+            protocol::encode_error_response(reply_buf, request_id, STATUS_ERROR, &message);
+            reply.send(reply_buf);
+            shared.queue.recycle_arch_buf(archs);
+            return;
+        }
+    };
+    match head.opcode {
+        OP_LIST_MODELS => {
+            protocol::encode_list_response(reply_buf, head.request_id, &shared.registry.list());
+            reply.send(reply_buf);
+            shared.queue.recycle_arch_buf(archs);
+        }
+        OP_PREDICT_SCORES | OP_PREDICT_OBJECTIVES => {
+            if let Some(pending) = resolve(shared, cache, &head, archs, reply, reply_buf) {
+                group.push(pending);
+            }
+        }
+        other => {
+            // decode_request validated opcodes, so this is
+            // unreachable in practice; answer defensively anyway
+            protocol::encode_error_response(
+                reply_buf,
+                head.request_id,
+                STATUS_ERROR,
+                &format!("unsupported opcode {other}"),
+            );
+            reply.send(reply_buf);
+            shared.queue.recycle_arch_buf(archs);
+        }
+    }
+}
+
+/// Resolves a predict request's model and latency head. An unknown one
+/// is answered with an error here and yields `None`.
+fn resolve(
     shared: &Arc<Shared>,
     cache: &mut RegistryCache,
     head: &RequestHead<'_>,
     archs: Vec<hwpr_nasbench::Architecture>,
     reply: &Arc<TcpReplySink>,
     reply_buf: &mut Vec<u8>,
-) {
+) -> Option<Pending> {
     let kind = if head.opcode == OP_PREDICT_SCORES {
         crate::PredictKind::Scores
     } else {
@@ -310,7 +371,7 @@ fn admit(
             );
             reply.send(reply_buf);
             shared.queue.recycle_arch_buf(archs);
-            return;
+            return None;
         }
     };
     let Some(slot) = model.slot(head.platform) else {
@@ -328,9 +389,9 @@ fn admit(
         );
         reply.send(reply_buf);
         shared.queue.recycle_arch_buf(archs);
-        return;
+        return None;
     };
-    let pending = Pending {
+    Some(Pending {
         request_id: head.request_id,
         kind,
         model,
@@ -338,18 +399,56 @@ fn admit(
         archs,
         reply: Arc::clone(reply) as Arc<dyn ReplySink>,
         arrived: Instant::now(),
-    };
-    if let Err(bounced) = shared.queue.push(pending) {
-        if hwpr_obs::enabled() {
-            metrics().overloaded.inc();
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hwpr_obs::event::Event;
+    use hwpr_obs::sink::MemorySink;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_reply_to_a_vanished_client_warns_once_and_later_frames_are_skipped() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        let sink = TcpReplySink {
+            stream: parking_lot::Mutex::new(served),
+            dead: AtomicBool::new(false),
+        };
+        // the only test in this binary that installs a recorder; other
+        // tests' events land here too, so count this sink's warning only
+        let events = Arc::new(MemorySink::new());
+        hwpr_obs::install(events.clone());
+        drop(client);
+        // the first write after the peer closed may still be accepted
+        // locally; the peer's reset fails a later one
+        let frame = [0u8; 64];
+        for _ in 0..1000 {
+            sink.send(&frame);
+            if sink.dead.load(Ordering::Relaxed) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        protocol::encode_error_response(
-            reply_buf,
-            bounced.request_id,
-            STATUS_OVERLOADED,
-            "admission queue full",
-        );
-        reply.send(reply_buf);
-        shared.queue.recycle_arch_buf(bounced.archs);
+        assert!(sink.dead.load(Ordering::Relaxed), "writes never failed");
+        // a dead sink returns before touching the socket: with its lock
+        // held here, a send that tried to write would never return
+        let held = sink.stream.lock();
+        for _ in 0..10 {
+            sink.send(&frame);
+        }
+        drop(held);
+        hwpr_obs::shutdown();
+        let warnings = events
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(e, Event::Warn { message, .. } if message.contains("client write failed"))
+            })
+            .count();
+        assert_eq!(warnings, 1);
     }
 }

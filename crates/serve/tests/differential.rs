@@ -2,14 +2,17 @@
 //! return exactly what the frozen engine returns in-process — bit-for-bit
 //! (results cross the wire as exact `f64` bit patterns) — including when
 //! the server coalesces uneven batches from interleaved clients into one
-//! forward.
+//! forward. Those clients pipeline their requests in one write, so the
+//! server admits each client's requests together and they coalesce.
 
 use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_serve::{ModelRegistry, PredictKind, ServeClient, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Duration;
+
+mod common;
+use common::{pipelined, Reply};
 
 fn trained(n: usize) -> (Arc<HwPrNas>, Vec<Architecture>) {
     let bench = SimBench::generate(SimBenchConfig {
@@ -50,11 +53,7 @@ fn round_trip_is_bit_identical_to_direct_frozen_inference_at_f32() {
         .predict_objectives(served.cache(), &archs, slot)
         .unwrap();
 
-    let config = ServeConfig {
-        batch_deadline: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
-    let server = Server::start(registry, config).unwrap();
+    let server = Server::start(registry, ServeConfig::default()).unwrap();
     let mut client = ServeClient::connect(server.addr()).unwrap();
 
     let scores = client
@@ -70,8 +69,9 @@ fn round_trip_is_bit_identical_to_direct_frozen_inference_at_f32() {
     assert_eq!(client.list_models().unwrap(), vec![("default".into(), 1)]);
 }
 
-/// Interleaved clients with uneven batch sizes (7 and 13) under a long
-/// coalesce deadline: the server merges them into one forward, and every
+/// Interleaved clients with uneven batch sizes (7 and 13), each
+/// pipelining its requests in one write: the server admits each client's
+/// requests as one group and merges them into one forward, and every
 /// client still gets exactly its own rows, bit-identical to a direct
 /// call on its own sub-batch.
 #[test]
@@ -85,7 +85,6 @@ fn coalesced_uneven_batches_split_back_bit_exactly() {
 
     let config = ServeConfig {
         max_batch: 64,
-        batch_deadline: Duration::from_millis(30),
         ..ServeConfig::default()
     };
     let server = Server::start(Arc::clone(&registry), config).unwrap();
@@ -97,34 +96,27 @@ fn coalesced_uneven_batches_split_back_bit_exactly() {
         let archs = archs.clone();
         let plan: Vec<usize> = plan.to_vec();
         handles.push(std::thread::spawn(move || {
-            let mut client = ServeClient::connect(addr).unwrap();
-            // pipeline every request before reading any response, so the
-            // requests are all in the queue together and coalesce
             let mut offset = worker * 40;
             let mut windows = Vec::new();
             for &n in &plan {
-                let window = archs[offset..offset + n].to_vec();
-                client
-                    .send_predict(PredictKind::Scores, "default", Platform::EdgeGpu, &window)
-                    .unwrap();
-                windows.push(window);
+                windows.push(archs[offset..offset + n].to_vec());
                 offset += n;
             }
-            let mut replies = Vec::new();
-            for _ in &plan {
-                let mut out = Vec::new();
-                let id = client.recv_scores(&mut out).unwrap();
-                replies.push((id, out));
-            }
-            // replies arrive in completion order; ids are issued 1..=n
-            replies.sort_by_key(|(id, _)| *id);
+            let requests: Vec<_> = windows
+                .iter()
+                .map(|w| (PredictKind::Scores, w.as_slice()))
+                .collect();
+            let replies = pipelined(addr, &requests);
             (windows, replies)
         }));
     }
     for handle in handles {
         let (windows, replies) = handle.join().unwrap();
         assert_eq!(windows.len(), replies.len());
-        for (window, (_, scores)) in windows.iter().zip(&replies) {
+        for (window, reply) in windows.iter().zip(&replies) {
+            let Reply::Scores(scores) = reply else {
+                panic!("a Scores request got {reply:?}");
+            };
             let direct = served
                 .frozen()
                 .predict_scores(served.cache(), window, slot)
@@ -135,10 +127,10 @@ fn coalesced_uneven_batches_split_back_bit_exactly() {
 }
 
 /// Two interleaved clients each pipeline a Scores and an Objectives
-/// request for the same rows — the pair a search client sends per
-/// generation. The server runs each pair's rows once and answers both
-/// kinds from that forward; every reply stays bit-identical to a direct
-/// call of its own kind.
+/// request for the same rows in one write — the pair a search client
+/// sends per generation. The server runs each pair's rows once and
+/// answers both kinds from that forward; every reply stays bit-identical
+/// to a direct call of its own kind.
 #[test]
 fn scores_and_objectives_twins_split_back_bit_exactly() {
     let (nas, archs) = trained(80);
@@ -150,7 +142,6 @@ fn scores_and_objectives_twins_split_back_bit_exactly() {
 
     let config = ServeConfig {
         max_batch: 64,
-        batch_deadline: Duration::from_millis(30),
         ..ServeConfig::default()
     };
     let server = Server::start(Arc::clone(&registry), config).unwrap();
@@ -162,30 +153,27 @@ fn scores_and_objectives_twins_split_back_bit_exactly() {
         .cloned()
         .map(|window| {
             std::thread::spawn(move || {
-                let mut client = ServeClient::connect(addr).unwrap();
-                for kind in [PredictKind::Scores, PredictKind::Objectives] {
-                    client
-                        .send_predict(kind, "default", Platform::EdgeGpu, &window)
-                        .unwrap();
-                }
-                // a batch replies riders before twins, so each
-                // connection sees its Scores reply first
-                let mut scores = Vec::new();
-                let mut objectives = Vec::new();
-                client.recv_scores(&mut scores).unwrap();
-                client.recv_objectives(&mut objectives).unwrap();
-                (scores, objectives)
+                pipelined(
+                    addr,
+                    &[
+                        (PredictKind::Scores, &window),
+                        (PredictKind::Objectives, &window),
+                    ],
+                )
             })
         })
         .collect();
     for (window, handle) in windows.iter().zip(handles) {
-        let (scores, objectives) = handle.join().unwrap();
+        let replies = handle.join().unwrap();
+        let [Reply::Scores(scores), Reply::Objectives(objectives)] = &replies[..] else {
+            panic!("unexpected replies {replies:?}");
+        };
         let frozen = served.frozen();
         let direct_scores = frozen.predict_scores(served.cache(), window, slot).unwrap();
         let direct_objectives = frozen
             .predict_objectives(served.cache(), window, slot)
             .unwrap();
-        assert_eq!(bits(&scores), bits(&direct_scores));
-        assert_eq!(pair_bits(&objectives), pair_bits(&direct_objectives));
+        assert_eq!(bits(scores), bits(&direct_scores));
+        assert_eq!(pair_bits(objectives), pair_bits(&direct_objectives));
     }
 }

@@ -9,7 +9,6 @@ use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_serve::{ModelRegistry, ServeClient, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn trained(seed: u64) -> Arc<HwPrNas> {
     let bench = SimBench::generate(SimBenchConfig {
@@ -51,22 +50,15 @@ fn inflight_requests_finish_on_old_weights_and_later_ones_see_new() {
 
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("default", Arc::clone(&v1));
-    let server = Server::start(
-        Arc::clone(&registry),
-        ServeConfig {
-            batch_deadline: Duration::from_micros(100),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(Arc::clone(&registry), ServeConfig::default()).unwrap();
     let addr = server.addr();
 
     let rounds = 120;
-    // the client reports once this many v1 replies are in, and keeps
-    // going: each later round still pays the 100 µs coalesce deadline,
-    // so the publish lands with over 100 rounds left
+    // the client pauses after this many v1 replies until the publish has
+    // returned, so the swap lands mid-stream by construction
     let v1_replies = 10;
     let (v1_seen, publish_now) = std::sync::mpsc::channel();
+    let (published, resume) = std::sync::mpsc::channel();
     let client_thread = std::thread::spawn(move || {
         let mut client = ServeClient::connect(addr).unwrap();
         let mut responses = Vec::with_capacity(rounds);
@@ -77,6 +69,7 @@ fn inflight_requests_finish_on_old_weights_and_later_ones_see_new() {
             responses.push(scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>());
             if responses.len() == v1_replies {
                 v1_seen.send(()).unwrap();
+                resume.recv().unwrap();
             }
         }
         responses
@@ -85,6 +78,7 @@ fn inflight_requests_finish_on_old_weights_and_later_ones_see_new() {
     // let some v1 traffic through, then hot-swap mid-stream
     publish_now.recv().unwrap();
     assert_eq!(registry.publish("default", Arc::clone(&v2)), 2);
+    published.send(()).unwrap();
 
     let responses = client_thread.join().unwrap();
     assert_eq!(responses.len(), rounds);
@@ -102,8 +96,11 @@ fn inflight_requests_finish_on_old_weights_and_later_ones_see_new() {
             assert!(!v2_seen, "response {i} regressed from v2 back to v1");
         }
     }
+    assert!(
+        responses[v1_replies..].iter().all(|bits| bits == &v2_bits),
+        "requests sent after the publish returned must see v2"
+    );
     assert!(v2_seen, "the swap never became visible");
-    assert_eq!(responses.last().unwrap(), &v2_bits);
     assert_eq!(registry.get("default").unwrap().version(), 2);
 }
 

@@ -15,7 +15,7 @@ use hwpr_serve::{
     BatchQueue, ModelRegistry, Pending, PredictKind, ReplySink, ServeConfig, WorkerState,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct DropSink;
 
@@ -40,7 +40,6 @@ fn inflight_rows_drain_to_zero_after_a_twin_batch() {
     hwpr_obs::install(Arc::new(NullSink));
     let config = ServeConfig {
         max_batch: 64,
-        batch_deadline: Duration::ZERO,
         ..ServeConfig::default()
     };
     let queue = BatchQueue::new(&config);
@@ -55,21 +54,21 @@ fn inflight_rows_drain_to_zero_after_a_twin_batch() {
         (PredictKind::Scores, &other),
         (PredictKind::Objectives, &shared),
     ];
+    let mut group = Vec::new();
     for (id, (kind, rows)) in plan.into_iter().enumerate() {
         let mut archs = queue.take_arch_buf();
         archs.extend_from_slice(rows);
-        queue
-            .push(Pending {
-                request_id: id as u64,
-                kind,
-                model: Arc::clone(&model),
-                slot: 0,
-                archs,
-                reply: Arc::new(DropSink),
-                arrived: Instant::now(),
-            })
-            .unwrap();
+        group.push(Pending {
+            request_id: id as u64,
+            kind,
+            model: Arc::clone(&model),
+            slot: 0,
+            archs,
+            reply: Arc::new(DropSink),
+            arrived: Instant::now(),
+        });
     }
+    assert_eq!(queue.push(&mut group), plan.len());
     let inflight = registry().gauge("serve.inflight.rows");
     assert_eq!(inflight.get(), (2 * shared.len() + other.len()) as f64);
 
