@@ -4,11 +4,14 @@
 //! # Topology and determinism
 //!
 //! Each island owns everything it touches during an epoch — population,
-//! fitness, [`MooWorkspace`], [`SplitMix64`] RNG stream, evaluator (with
-//! its own `ScoreCache` shard) — so an island's trajectory between
-//! migration points is a pure function of its own state. Epochs of
-//! `migration_every` generations run the islands across worker lanes
-//! (`workers`); at the epoch barrier every island pushes one
+//! fitness, selection buffers (with their
+//! [`MooWorkspace`](hwpr_moo::MooWorkspace)), [`SplitMix64`] RNG stream,
+//! evaluator (with its own `ScoreCache` shard) — so an island's
+//! trajectory between migration points is a pure function of its own
+//! state. A generation is the selection step every engine shares (see
+//! the crate docs); the island adds the migration ring around it.
+//! Epochs of `migration_every` generations run the islands across worker
+//! lanes (`workers`); at the epoch barrier every island pushes one
 //! [`Emigration`] message onto a lock-free channel, the coordinator
 //! drains and **sorts the messages by island id**, and only then mutates
 //! shared state: the global archive merge and the ring migration
@@ -31,18 +34,18 @@
 
 use crate::channel::MigrationChannel;
 use crate::clock::SearchClock;
-use crate::evaluator::{CacheEntry, Evaluator, Fitness, SharedObjectives};
-use crate::moea::tournament;
+use crate::evaluator::{CacheEntry, Evaluator, SharedObjectives};
 use crate::rng::SplitMix64;
+use crate::select::{self, FitnessBuffer, Scratch, Variation};
 use crate::{Result, SearchError};
-use hwpr_moo::{nadir_reference_point, Fronts, IncrementalHv2, MooWorkspace, ParetoArchive};
+use hwpr_moo::{nadir_reference_point, IncrementalHv2, ParetoArchive};
 use hwpr_nasbench::{Architecture, SearchSpaceId};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub use crate::select::FitnessKind;
 
 /// Configuration of the island search. Serialisable: checkpoints embed
 /// the config so a resume cannot silently run different settings.
@@ -117,6 +120,15 @@ impl IslandConfig {
             self.checkpoint_every = checkpoint_interval();
         }
         self
+    }
+
+    fn variation(&self) -> Variation {
+        Variation {
+            population: self.population,
+            tournament: self.tournament,
+            crossover_rate: self.crossover_rate,
+            mutation_rate: self.mutation_rate,
+        }
     }
 
     fn validate(&self) -> Result<()> {
@@ -254,118 +266,15 @@ pub(crate) mod spec {
     }
 }
 
-/// Which [`Fitness`] shape an island carries (fixed by the evaluator's
-/// first batch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FitnessKind {
-    /// Scalar scores only.
-    Scores,
-    /// Objective vectors only.
-    Objectives,
-    /// Scores plus predicted objectives (the HW-PR-NAS evaluator).
-    Ranked,
-}
-
-/// Flattened fitness storage: one growable buffer per component, so the
-/// per-generation merge/filter reuses capacity instead of rebuilding
-/// [`Fitness`] values.
-#[derive(Debug, Default)]
-struct IslandFitness {
-    kind: Option<FitnessKind>,
-    scores: Vec<f64>,
-    objectives: Vec<SharedObjectives>,
-}
-
-impl IslandFitness {
-    /// Appends an evaluator batch, fixing/checking the fitness kind.
-    fn absorb(&mut self, fitness: Fitness) -> Result<()> {
-        let kind = match &fitness {
-            Fitness::Scores(_) => FitnessKind::Scores,
-            Fitness::Objectives(_) => FitnessKind::Objectives,
-            Fitness::Ranked { .. } => FitnessKind::Ranked,
-        };
-        match self.kind {
-            None => self.kind = Some(kind),
-            Some(k) if k == kind => {}
-            Some(k) => {
-                return Err(SearchError::Config(format!(
-                    "evaluator changed fitness kind mid-search ({k:?} -> {kind:?})"
-                )));
-            }
-        }
-        match fitness {
-            Fitness::Scores(s) => self.scores.extend(s),
-            Fitness::Objectives(o) => self.objectives.extend(o),
-            Fitness::Ranked { scores, objectives } => {
-                self.scores.extend(scores);
-                self.objectives.extend(objectives);
-            }
-        }
-        Ok(())
-    }
-
-    fn clear(&mut self) {
-        self.scores.clear();
-        self.objectives.clear();
-    }
-
-    fn has_scores(&self) -> bool {
-        matches!(self.kind, Some(FitnessKind::Scores | FitnessKind::Ranked))
-    }
-
-    fn has_objectives(&self) -> bool {
-        matches!(
-            self.kind,
-            Some(FitnessKind::Objectives | FitnessKind::Ranked)
-        )
-    }
-}
-
-/// Reusable per-island buffers: after the first generation every
-/// collection here has its high-water capacity and the warm generation
-/// step allocates nothing (proven by the counting-allocator harness).
-struct IslandScratch {
-    offspring: Vec<Architecture>,
-    offspring_fitness: IslandFitness,
-    keys: Vec<f64>,
-    pool: Vec<usize>,
-    keep: Vec<usize>,
-    order: Vec<usize>,
-    seen: HashSet<(SearchSpaceId, u128)>,
-    fronts: Fronts,
-    unique_objs: Vec<SharedObjectives>,
-    next_population: Vec<Architecture>,
-    next_fitness: IslandFitness,
-}
-
-impl IslandScratch {
-    fn new() -> Self {
-        Self {
-            offspring: Vec::new(),
-            offspring_fitness: IslandFitness::default(),
-            keys: Vec::new(),
-            pool: Vec::new(),
-            keep: Vec::new(),
-            order: Vec::new(),
-            seen: HashSet::new(),
-            fronts: Fronts::new(),
-            unique_objs: Vec::new(),
-            next_population: Vec::new(),
-            next_fitness: IslandFitness::default(),
-        }
-    }
-}
-
 /// One island: the complete state its epoch evolves.
 struct Island {
     id: usize,
     rng: SplitMix64,
     population: Vec<Architecture>,
-    fitness: IslandFitness,
+    fitness: FitnessBuffer,
     evaluator: Box<dyn Evaluator + Send>,
-    moo: MooWorkspace,
     clock: SearchClock,
-    scratch: IslandScratch,
+    scratch: Scratch,
     evaluations: u64,
 }
 
@@ -386,194 +295,67 @@ struct Emigration {
 }
 
 impl Island {
-    /// Advances the island one generation: tournament selection,
-    /// crossover + mutation, offspring evaluation, elitist survivor
-    /// selection. Allocation-free when warm (buffer-reusing evaluator,
-    /// telemetry off).
+    /// Advances the island one generation through the shared
+    /// [`select::generation`] step on its own SplitMix64 stream.
     fn step(&mut self, cfg: &IslandConfig) -> Result<()> {
-        let Island {
-            rng,
-            population,
-            fitness,
-            evaluator,
-            moo,
-            clock,
-            scratch,
-            evaluations,
-            ..
-        } = self;
-        let kind = fitness
-            .kind
-            .ok_or_else(|| SearchError::Config("island stepped before evaluation".into()))?;
-
-        // parent-selection keys: scores directly, or -(rank) + crowding
-        // tie-break for pure objective vectors
-        if kind == FitnessKind::Objectives {
-            objective_keys_into(
-                &fitness.objectives,
-                moo,
-                &mut scratch.fronts,
-                &mut scratch.keys,
-            )?;
-        }
-        let keys: &[f64] = match kind {
-            FitnessKind::Scores | FitnessKind::Ranked => &fitness.scores,
-            FitnessKind::Objectives => &scratch.keys,
-        };
-
-        // offspring via tournament + crossover + mutation
-        scratch.offspring.clear();
-        for _ in 0..cfg.population {
-            let a = tournament(keys, cfg.tournament, rng);
-            let child = if rng.gen_bool(cfg.crossover_rate) {
-                let b = tournament(keys, cfg.tournament, rng);
-                population[a]
-                    .crossover(&population[b], rng)
-                    .unwrap_or_else(|| population[a].clone())
-            } else {
-                population[a].clone()
-            };
-            let child = if rng.gen_bool(cfg.mutation_rate) {
-                child.mutate(rng)
-            } else {
-                child
-            };
-            scratch.offspring.push(child);
-        }
-
-        // evaluate: buffer-reusing scores fast path, else the boxed path
-        scratch.offspring_fitness.clear();
-        let fast = kind == FitnessKind::Scores
-            && evaluator.evaluate_scores_into(
-                &scratch.offspring,
-                clock,
-                &mut scratch.offspring_fitness.scores,
-            )?;
-        if fast {
-            scratch.offspring_fitness.kind = Some(FitnessKind::Scores);
-            if scratch.offspring_fitness.scores.len() != scratch.offspring.len() {
-                return Err(SearchError::Surrogate(
-                    "evaluate_scores_into returned a short batch".into(),
-                ));
-            }
-        } else {
-            let batch = evaluator.evaluate(&scratch.offspring, clock)?;
-            scratch.offspring_fitness.kind = None;
-            scratch.offspring_fitness.absorb(batch)?;
-            if scratch.offspring_fitness.kind != Some(kind) {
-                return Err(SearchError::Config(
-                    "evaluator changed fitness kind mid-search".into(),
-                ));
-            }
-        }
-        *evaluations += scratch.offspring.len() as u64;
-
-        // elitist survivor selection over P ∪ Q
-        population.extend(scratch.offspring.iter().cloned());
-        fitness
-            .scores
-            .extend_from_slice(&scratch.offspring_fitness.scores);
-        fitness
-            .objectives
-            .extend(scratch.offspring_fitness.objectives.iter().cloned());
-        survivors_into(
-            population,
-            fitness,
-            kind,
-            cfg.population,
-            moo,
-            &mut scratch.seen,
-            &mut scratch.pool,
-            &mut scratch.order,
-            &mut scratch.fronts,
-            &mut scratch.unique_objs,
-            &mut scratch.keep,
+        select::generation(
+            &cfg.variation(),
+            &mut self.rng,
+            &mut self.population,
+            &mut self.fitness,
+            self.evaluator.as_mut(),
+            &mut self.clock,
+            &mut self.scratch,
         )?;
-
-        // compact survivors through the swap buffers (no reallocation)
-        scratch.next_population.clear();
-        scratch
-            .next_population
-            .extend(scratch.keep.iter().map(|&i| population[i].clone()));
-        std::mem::swap(population, &mut scratch.next_population);
-        scratch.next_fitness.clear();
-        if fitness.has_scores() {
-            scratch
-                .next_fitness
-                .scores
-                .extend(scratch.keep.iter().map(|&i| fitness.scores[i]));
-        }
-        if fitness.has_objectives() {
-            scratch
-                .next_fitness
-                .objectives
-                .extend(scratch.keep.iter().map(|&i| fitness.objectives[i].clone()));
-        }
-        std::mem::swap(&mut fitness.scores, &mut scratch.next_fitness.scores);
-        std::mem::swap(
-            &mut fitness.objectives,
-            &mut scratch.next_fitness.objectives,
-        );
+        self.evaluations += cfg.population as u64;
         Ok(())
-    }
-
-    /// Selection keys of the current population (scores, or the rank/
-    /// crowding key for objective-only fitness), written into
-    /// `scratch.keys` when computed.
-    fn current_keys(&mut self) -> Result<&[f64]> {
-        match self.fitness.kind {
-            Some(FitnessKind::Scores | FitnessKind::Ranked) => Ok(&self.fitness.scores),
-            Some(FitnessKind::Objectives) => {
-                objective_keys_into(
-                    &self.fitness.objectives,
-                    &mut self.moo,
-                    &mut self.scratch.fronts,
-                    &mut self.scratch.keys,
-                )?;
-                Ok(&self.scratch.keys)
-            }
-            None => Err(SearchError::Config("island not yet evaluated".into())),
-        }
     }
 
     /// The epoch-barrier message: top-`migrants` elites by selection key
     /// (crowded rank for objective fitness) plus the island's current
     /// non-dominated front.
     fn emigration(&mut self, cfg: &IslandConfig) -> Result<Emigration> {
-        self.current_keys()?;
-        let keys: &[f64] = match self.fitness.kind {
-            Some(FitnessKind::Scores | FitnessKind::Ranked) => &self.fitness.scores,
-            _ => &self.scratch.keys,
-        };
-        let mut order: Vec<usize> = (0..self.population.len()).collect();
+        let Island {
+            id,
+            population,
+            fitness,
+            scratch,
+            ..
+        } = self;
+        let keys = select::tournament_keys(
+            fitness,
+            &mut scratch.moo,
+            &mut scratch.fronts,
+            &mut scratch.keys,
+        )?;
+        let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_unstable_by(|&a, &b| keys[b].total_cmp(&keys[a]).then_with(|| a.cmp(&b)));
         let elites = order
             .iter()
             .take(cfg.migrants)
             .map(|&i| Migrant {
-                arch: self.population[i].clone(),
-                score: if self.fitness.has_scores() {
-                    self.fitness.scores[i]
+                arch: population[i].clone(),
+                score: if fitness.has_scores() {
+                    fitness.scores[i]
                 } else {
                     keys[i]
                 },
-                objectives: self
-                    .fitness
+                objectives: fitness
                     .has_objectives()
-                    .then(|| Arc::clone(&self.fitness.objectives[i])),
+                    .then(|| Arc::clone(&fitness.objectives[i])),
             })
             .collect();
         let mut front = Vec::new();
-        if self.fitness.has_objectives() {
-            for &i in self.moo.pareto_front(&self.fitness.objectives)? {
+        if fitness.has_objectives() {
+            for &i in scratch.moo.pareto_front(&fitness.objectives)? {
                 front.push((
-                    self.population[i].clone(),
-                    self.fitness.objectives[i].as_ref().clone(),
+                    population[i].clone(),
+                    fitness.objectives[i].as_ref().clone(),
                 ));
             }
         }
         Ok(Emigration {
-            from: self.id,
+            from: *id,
             elites,
             front,
         })
@@ -587,13 +369,15 @@ impl Island {
         if migrants.is_empty() {
             return Ok(0);
         }
-        self.current_keys()?;
-        let keys: &[f64] = match self.fitness.kind {
-            Some(FitnessKind::Scores | FitnessKind::Ranked) => &self.fitness.scores,
-            _ => &self.scratch.keys,
-        };
         // worst-first replacement order over the current population
-        let mut order: Vec<usize> = (0..self.population.len()).collect();
+        let scratch = &mut self.scratch;
+        let keys = select::tournament_keys(
+            &self.fitness,
+            &mut scratch.moo,
+            &mut scratch.fronts,
+            &mut scratch.keys,
+        )?;
+        let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_unstable_by(|&a, &b| keys[a].total_cmp(&keys[b]).then_with(|| a.cmp(&b)));
         let mut slots = order.into_iter();
         self.scratch.seen.clear();
@@ -621,98 +405,6 @@ impl Island {
         }
         Ok(accepted)
     }
-}
-
-/// `-(rank) + crowding tie-break` selection keys for objective-only
-/// fitness, written into `keys` (mirrors the single-population MOEA).
-fn objective_keys_into(
-    objectives: &[SharedObjectives],
-    moo: &mut MooWorkspace,
-    fronts: &mut Fronts,
-    keys: &mut Vec<f64>,
-) -> Result<()> {
-    moo.fast_non_dominated_sort_into(objectives, fronts)?;
-    keys.clear();
-    keys.resize(objectives.len(), 0.0);
-    for rank in 0..fronts.len() {
-        let front = fronts.front(rank);
-        let crowd = moo.crowding_distance_of(objectives, front)?;
-        for (slot, &i) in front.iter().enumerate() {
-            let tie = 1.0 - 1.0 / (1.0 + crowd[slot].min(1e12));
-            keys[i] = -(rank as f64) + tie * 0.5;
-        }
-    }
-    Ok(())
-}
-
-/// Elitist survivor selection into `keep` (same semantics as the
-/// single-population MOEA: dedup by architecture identity, then top-k by
-/// score / score-gated crowding / NSGA-II fronts). `sort_unstable` with
-/// explicit index tie-breaks reproduces the stable-sort order without
-/// the stable sort's scratch allocation.
-#[allow(clippy::too_many_arguments)]
-fn survivors_into(
-    merged: &[Architecture],
-    fitness: &IslandFitness,
-    kind: FitnessKind,
-    k: usize,
-    moo: &mut MooWorkspace,
-    seen: &mut HashSet<(SearchSpaceId, u128)>,
-    pool: &mut Vec<usize>,
-    order: &mut Vec<usize>,
-    fronts: &mut Fronts,
-    unique_objs: &mut Vec<SharedObjectives>,
-    keep: &mut Vec<usize>,
-) -> Result<()> {
-    seen.clear();
-    pool.clear();
-    pool.extend((0..merged.len()).filter(|&i| seen.insert((merged[i].space(), merged[i].index()))));
-    keep.clear();
-    match kind {
-        FitnessKind::Scores => {
-            let scores = &fitness.scores;
-            pool.sort_unstable_by(|&a, &b| scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b)));
-            keep.extend(pool.iter().take(k));
-        }
-        FitnessKind::Ranked => {
-            // score gates front membership (top k + 25 %); crowding on the
-            // same call's predicted objectives trims the margin
-            let scores = &fitness.scores;
-            pool.sort_unstable_by(|&a, &b| scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b)));
-            pool.truncate(k + k / 4 + 1);
-            if pool.len() <= k {
-                keep.extend(pool.iter());
-                return Ok(());
-            }
-            let crowd = moo.crowding_distance_of(&fitness.objectives, pool)?;
-            order.clear();
-            order.extend(0..pool.len());
-            order.sort_unstable_by(|&a, &b| crowd[b].total_cmp(&crowd[a]).then_with(|| a.cmp(&b)));
-            keep.extend(order.iter().take(k).map(|&slot| pool[slot]));
-        }
-        FitnessKind::Objectives => {
-            unique_objs.clear();
-            unique_objs.extend(pool.iter().map(|&i| Arc::clone(&fitness.objectives[i])));
-            moo.fast_non_dominated_sort_into(&*unique_objs, fronts)?;
-            for rank in 0..fronts.len() {
-                let front = fronts.front(rank);
-                if keep.len() + front.len() <= k {
-                    keep.extend(front.iter().map(|&i| pool[i]));
-                } else {
-                    let crowd = moo.crowding_distance_of(&*unique_objs, front)?;
-                    order.clear();
-                    order.extend(0..front.len());
-                    order.sort_unstable_by(|&a, &b| {
-                        crowd[b].total_cmp(&crowd[a]).then_with(|| a.cmp(&b))
-                    });
-                    let room = k - keep.len();
-                    keep.extend(order.iter().take(room).map(|&slot| pool[front[slot]]));
-                    break;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A single island driven generation-by-generation. Benchmark and
@@ -952,8 +644,8 @@ where
         let mut evaluator = factory(id);
         let mut clock = SearchClock::unbounded();
         let batch = evaluator.evaluate(&population, &mut clock)?;
-        let mut fitness = IslandFitness::default();
-        fitness.absorb(batch)?;
+        let mut fitness = FitnessBuffer::default();
+        fitness.absorb(batch, population.len())?;
         let evaluations = population.len() as u64;
         islands.push(Island {
             id,
@@ -961,9 +653,8 @@ where
             population,
             fitness,
             evaluator,
-            moo: MooWorkspace::new(),
             clock,
-            scratch: IslandScratch::new(),
+            scratch: Scratch::default(),
             evaluations,
         });
     }
@@ -1005,7 +696,7 @@ where
         evaluator.restore_cache(&isl.cache);
         let mut clock = SearchClock::unbounded();
         clock.charge_simulated(isl.simulated_s);
-        let fitness = IslandFitness {
+        let fitness = FitnessBuffer {
             kind: Some(isl.kind),
             scores: isl.scores.clone(),
             objectives: isl.objectives.iter().cloned().map(Arc::new).collect(),
@@ -1016,9 +707,8 @@ where
             population: isl.population.clone(),
             fitness,
             evaluator,
-            moo: MooWorkspace::new(),
             clock,
-            scratch: IslandScratch::new(),
+            scratch: Scratch::default(),
             evaluations: isl.evaluations,
         });
     }
@@ -1133,7 +823,7 @@ fn run_state(
         // the coordinator, in island-id order — lane-count independent
         let mut messages = channel.drain();
         messages.sort_unstable_by_key(|m| m.from);
-        merge_fronts(&mut state, &messages)?;
+        fold_fronts(&mut state, &messages)?;
         if state.generations_done < config.generations {
             let _span = hwpr_obs::span("search.migration");
             let n = state.islands.len();
@@ -1197,7 +887,7 @@ fn run_state(
 /// Folds every island's epoch front into the global archive (messages
 /// arrive pre-sorted by island id) and maintains the incremental
 /// hypervolume for two-objective runs.
-fn merge_fronts(state: &mut RunState, messages: &[Emigration]) -> Result<()> {
+fn fold_fronts(state: &mut RunState, messages: &[Emigration]) -> Result<()> {
     // fix the hypervolume reference from the first merged front set
     if state.hv_reference.is_none() {
         let points: Vec<Vec<f64>> = messages

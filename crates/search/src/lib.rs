@@ -23,6 +23,13 @@
 //! migration, a global Pareto archive, deterministic replay at any
 //! worker-lane count, and checkpoint/resume (see the [`island`] module
 //! docs).
+//!
+//! All three engines share one selection policy (the private `select`
+//! module): one fitness buffer, one set of parent-selection keys, one
+//! tournament and one survivor rule. [`Moea`] and every island advance
+//! through the same generation step, each on its own RNG stream
+//! (ChaCha8 for [`Moea`], [`SplitMix64`] per island); [`random_search`]
+//! keeps its best through the same survivor rule.
 
 #![warn(missing_docs)]
 mod channel;
@@ -32,6 +39,7 @@ pub mod island;
 mod moea;
 mod random;
 mod rng;
+mod select;
 mod telemetry;
 
 pub use channel::MigrationChannel;

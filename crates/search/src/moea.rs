@@ -1,14 +1,12 @@
 //! Algorithm 1: the multi-objective evolutionary algorithm.
 
 use crate::clock::SearchClock;
-use crate::evaluator::{Evaluator, Fitness, SharedObjectives};
+use crate::evaluator::Evaluator;
+use crate::select::{self, FitnessBuffer, Scratch, Variation};
 use crate::{Result, SearchError};
-use hwpr_moo::{Fronts, MooWorkspace};
 use hwpr_nasbench::{Architecture, SearchSpaceId};
-use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::borrow::Cow;
 use std::time::Duration;
 
 /// Configuration of the MOEA (§IV-C1: population 150, 250 generations,
@@ -174,9 +172,15 @@ impl Moea {
         let cfg = &self.config;
         let _search_span = hwpr_obs::span("search.moea");
         let mut generation_telemetry = crate::telemetry::GenerationTelemetry::default();
-        // one workspace for the whole run: every per-generation sort and
-        // crowding call reuses its buffers instead of allocating
-        let mut moo = MooWorkspace::new();
+        let variation = Variation {
+            population: cfg.population,
+            tournament: cfg.tournament,
+            crossover_rate: cfg.crossover_rate,
+            mutation_rate: cfg.mutation_rate,
+        };
+        // one set of selection buffers for the whole run: every
+        // generation's sort, crowding and compaction reuses them
+        let mut scratch = Scratch::default();
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut clock = match cfg.budget {
             Some(b) => SearchClock::with_budget(b),
@@ -199,7 +203,11 @@ impl Moea {
             population.push(Architecture::random(space, &mut rng));
         }
         let timer = crate::telemetry::eval_timer();
-        let mut fitness = evaluator.evaluate(&population, &mut clock)?;
+        let mut fitness = FitnessBuffer::default();
+        fitness.absorb(
+            evaluator.evaluate(&population, &mut clock)?,
+            population.len(),
+        )?;
         timer.finish();
         evaluations += population.len();
         surrogate_calls += population.len() * evaluator.calls_per_arch();
@@ -209,43 +217,17 @@ impl Moea {
                 break;
             }
             let _gen_span = hwpr_obs::span("search.generation");
-            // offspring via tournament selection + crossover + mutation
-            let keys = selection_keys(&fitness, &mut moo)?;
-            let mut offspring = Vec::with_capacity(cfg.population);
-            for _ in 0..cfg.population {
-                let a = tournament(keys.as_ref(), cfg.tournament, &mut rng);
-                let child = if rng.gen_bool(cfg.crossover_rate) {
-                    let b = tournament(keys.as_ref(), cfg.tournament, &mut rng);
-                    population[a]
-                        .crossover(&population[b], &mut rng)
-                        .unwrap_or_else(|| population[a].clone())
-                } else {
-                    population[a].clone()
-                };
-                let child = if rng.gen_bool(cfg.mutation_rate) {
-                    child.mutate(&mut rng)
-                } else {
-                    child
-                };
-                offspring.push(child);
-            }
-            let timer = crate::telemetry::eval_timer();
-            let offspring_fitness = evaluator.evaluate(&offspring, &mut clock)?;
-            let eval_ms = timer.finish();
-            evaluations += offspring.len();
-            surrogate_calls += offspring.len() * evaluator.calls_per_arch();
-
-            // elitist survivor selection over P ∪ Q
-            let (merged, merged_fitness) = merge(population, fitness, offspring, offspring_fitness);
-            let keep = survivor_selection(&merged, &merged_fitness, cfg.population, &mut moo)?;
-            // survivor indices are unique, so survivors move out of the
-            // merged pool instead of being cloned each generation
-            let mut merged: Vec<Option<Architecture>> = merged.into_iter().map(Some).collect();
-            population = keep
-                .iter()
-                .map(|&i| merged[i].take().expect("survivor indices are unique"))
-                .collect();
-            fitness = filter_fitness(&merged_fitness, &keep);
+            let eval_ms = select::generation(
+                &variation,
+                &mut rng,
+                &mut population,
+                &mut fitness,
+                evaluator,
+                &mut clock,
+                &mut scratch,
+            )?;
+            evaluations += cfg.population;
+            surrogate_calls += cfg.population * evaluator.calls_per_arch();
 
             history.push(GenerationStats {
                 generation,
@@ -258,7 +240,7 @@ impl Moea {
                 evaluations,
                 elapsed_ms: clock.total_elapsed().as_secs_f64() * 1e3,
                 eval_ms,
-                fitness: &fitness,
+                objectives: &fitness.objectives,
                 cache: evaluator.cache_stats(),
                 snapshot_front: cfg.record_populations,
             });
@@ -280,173 +262,10 @@ impl Moea {
     }
 }
 
-/// Scalar sort keys (higher = fitter) for tournament selection.
-///
-/// For scores the key is the score itself; for objective vectors the key
-/// is `-(rank + crowding tie-break)` from non-dominated sorting — the
-/// comparisons the paper counts as two-surrogate overhead.
-fn selection_keys<'a>(fitness: &'a Fitness, moo: &mut MooWorkspace) -> Result<Cow<'a, [f64]>> {
-    match fitness {
-        // scores are borrowed straight out of the fitness — no per-
-        // generation copy of the whole key vector
-        Fitness::Scores(s) | Fitness::Ranked { scores: s, .. } => Ok(Cow::Borrowed(s.as_slice())),
-        Fitness::Objectives(objs) => {
-            let mut fronts = Fronts::new();
-            moo.fast_non_dominated_sort_into(objs, &mut fronts)?;
-            let mut key = vec![0.0f64; objs.len()];
-            for (rank, front) in fronts.iter().enumerate() {
-                let crowd = moo.crowding_distance_of(objs, front)?;
-                for (slot, &i) in front.iter().enumerate() {
-                    let tie = 1.0 - 1.0 / (1.0 + crowd[slot].min(1e12));
-                    key[i] = -(rank as f64) + tie * 0.5;
-                }
-            }
-            Ok(Cow::Owned(key))
-        }
-    }
-}
-
-pub(crate) fn tournament<R: Rng>(keys: &[f64], size: usize, rng: &mut R) -> usize {
-    let mut best = rng.gen_range(0..keys.len());
-    for _ in 1..size {
-        let challenger = rng.gen_range(0..keys.len());
-        if keys[challenger] > keys[best] {
-            best = challenger;
-        }
-    }
-    best
-}
-
-fn merge(
-    mut population: Vec<Architecture>,
-    fitness: Fitness,
-    mut offspring: Vec<Architecture>,
-    offspring_fitness: Fitness,
-) -> (Vec<Architecture>, Fitness) {
-    population.append(&mut offspring);
-    let merged_fitness = match (fitness, offspring_fitness) {
-        (Fitness::Scores(mut a), Fitness::Scores(b)) => {
-            a.extend(b);
-            Fitness::Scores(a)
-        }
-        (Fitness::Objectives(mut a), Fitness::Objectives(b)) => {
-            a.extend(b);
-            Fitness::Objectives(a)
-        }
-        (
-            Fitness::Ranked {
-                scores: mut sa,
-                objectives: mut oa,
-            },
-            Fitness::Ranked {
-                scores: sb,
-                objectives: ob,
-            },
-        ) => {
-            sa.extend(sb);
-            oa.extend(ob);
-            Fitness::Ranked {
-                scores: sa,
-                objectives: oa,
-            }
-        }
-        _ => unreachable!("evaluator changed fitness kind mid-search"),
-    };
-    (population, merged_fitness)
-}
-
-/// Elitist survivor selection: top-k by score, or NSGA-II
-/// (rank, crowding) for objective vectors. Duplicate architectures are
-/// removed first so the population cannot collapse onto copies of the
-/// score maximiser (`merged` aligns with the fitness entries).
-fn survivor_selection(
-    merged: &[Architecture],
-    fitness: &Fitness,
-    k: usize,
-    moo: &mut MooWorkspace,
-) -> Result<Vec<usize>> {
-    // keep one entry per distinct architecture
-    let mut seen = std::collections::HashSet::new();
-    let unique: Vec<usize> = (0..merged.len())
-        .filter(|&i| seen.insert((merged[i].space(), merged[i].index())))
-        .collect();
-    match fitness {
-        Fitness::Scores(s) => {
-            let mut idx = unique;
-            idx.sort_by(|&a, &b| s[b].total_cmp(&s[a]));
-            idx.truncate(k);
-            Ok(idx)
-        }
-        Fitness::Ranked { scores, objectives } => {
-            // the score decides front membership (top 2k pool); the same
-            // call's predicted objectives then keep the pool diverse —
-            // boundary (corner) candidates always survive
-            // the score gates front membership: only the best-scored
-            // candidates (k plus a 25 % margin) enter the pool; crowding
-            // on the same call's predicted objectives then trims the
-            // margin so coverage, not score noise, decides the last slots
-            let mut pool = unique;
-            pool.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-            pool.truncate(k + k / 4 + 1);
-            if pool.len() <= k {
-                return Ok(pool);
-            }
-            let crowd = moo.crowding_distance_of(objectives, &pool)?;
-            let mut order: Vec<usize> = (0..pool.len()).collect();
-            order.sort_by(|&a, &b| crowd[b].total_cmp(&crowd[a]));
-            Ok(order.into_iter().take(k).map(|slot| pool[slot]).collect())
-        }
-        Fitness::Objectives(all_objs) => {
-            let objs: Vec<SharedObjectives> = unique.iter().map(|&i| all_objs[i].clone()).collect();
-            let mut fronts = Fronts::new();
-            moo.fast_non_dominated_sort_into(&objs, &mut fronts)?;
-            let mut keep = Vec::with_capacity(k);
-            for front in fronts.iter() {
-                if keep.len() + front.len() <= k {
-                    keep.extend(front.iter().map(|&i| unique[i]));
-                } else {
-                    // fill the remainder with the most spread-out members
-                    let crowd = moo.crowding_distance_of(&objs, front)?;
-                    let mut order: Vec<usize> = (0..front.len()).collect();
-                    order.sort_by(|&a, &b| crowd[b].total_cmp(&crowd[a]));
-                    for &slot in order.iter().take(k - keep.len()) {
-                        keep.push(unique[front[slot]]);
-                    }
-                    break;
-                }
-            }
-            Ok(keep)
-        }
-    }
-}
-
-fn filter_fitness(fitness: &Fitness, keep: &[usize]) -> Fitness {
-    match fitness {
-        Fitness::Scores(s) => Fitness::Scores(keep.iter().map(|&i| s[i]).collect()),
-        Fitness::Objectives(o) => Fitness::Objectives(keep.iter().map(|&i| o[i].clone()).collect()),
-        Fitness::Ranked { scores, objectives } => Fitness::Ranked {
-            scores: keep.iter().map(|&i| scores[i]).collect(),
-            objectives: keep.iter().map(|&i| objectives[i].clone()).collect(),
-        },
-    }
-}
-
-/// Shuffle-free helper used by tests: picks `k` best indices by score.
-#[cfg(test)]
-pub(crate) fn top_k_by_score(scores: &[f64], k: usize) -> Vec<usize> {
-    let archs: Vec<Architecture> = (0..scores.len())
-        .map(|i| Architecture::nb201_from_index(i as u64).expect("small index"))
-        .collect();
-    let mut moo = MooWorkspace::new();
-    survivor_selection(&archs, &Fitness::Scores(scores.to_vec()), k, &mut moo)
-        .expect("scores never fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{share_objectives, ScoreEvaluator};
-    use rand::seq::SliceRandom as _;
+    use crate::evaluator::ScoreEvaluator;
 
     /// Score = -(distance to a known optimum): MOEA should find it.
     fn stub_evaluator() -> ScoreEvaluator {
@@ -481,36 +300,6 @@ mod tests {
             .max()
             .unwrap();
         assert!(best >= 5, "best only has {best}/6 conv3x3 edges");
-    }
-
-    #[test]
-    fn moea_with_objectives_keeps_nondominated() {
-        let mut eval = ScoreEvaluator::from_fn(
-            "objective-stub",
-            Box::new(|archs| Ok(archs.iter().map(|a| a.index() as f64).collect())),
-        );
-        // trivially runs with scores; objectives path tested via survivor fn
-        let moea = Moea::new(MoeaConfig::small(SearchSpaceId::NasBench201)).unwrap();
-        assert!(moea.run(&mut eval).is_ok());
-        // survivor selection on objectives prefers the first front
-        let objs = vec![
-            vec![1.0, 4.0],
-            vec![2.0, 2.0],
-            vec![4.0, 1.0],
-            vec![5.0, 5.0],
-        ];
-        let archs: Vec<Architecture> = (0..4)
-            .map(|i| Architecture::nb201_from_index(i).unwrap())
-            .collect();
-        let keep = survivor_selection(
-            &archs,
-            &Fitness::Objectives(share_objectives(objs)),
-            3,
-            &mut MooWorkspace::new(),
-        )
-        .unwrap();
-        assert_eq!(keep.len(), 3);
-        assert!(!keep.contains(&3), "dominated point survived");
     }
 
     #[test]
@@ -558,97 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn top_k_sorts_descending() {
-        let mut scores: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        scores.shuffle(&mut rng);
-        let top = top_k_by_score(&scores, 3);
-        let mut vals: Vec<f64> = top.iter().map(|&i| scores[i]).collect();
-        vals.sort_by(f64::total_cmp);
-        assert_eq!(vals, vec![7.0, 8.0, 9.0]);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let cfg = MoeaConfig::small(SearchSpaceId::NasBench201).with_seed(42);
         let moea = Moea::new(cfg).unwrap();
         let a = moea.run(&mut stub_evaluator()).unwrap();
         let b = moea.run(&mut stub_evaluator()).unwrap();
         assert_eq!(a.population, b.population);
-    }
-
-    #[test]
-    fn ranked_selection_keeps_objective_corners() {
-        // 6 candidates, k = 4: the score pool (k + 25 %) admits all six,
-        // and the crowding pass must keep the two corner trade-offs
-        let archs: Vec<Architecture> = (0..6)
-            .map(|i| Architecture::nb201_from_index(i).unwrap())
-            .collect();
-        let scores = vec![1.0, 0.99, 0.98, 0.97, 0.96, 0.95];
-        let objectives: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64, 5.0 - i as f64]).collect();
-        let fitness = Fitness::Ranked {
-            scores,
-            objectives: share_objectives(objectives),
-        };
-        let keep = survivor_selection(&archs, &fitness, 4, &mut MooWorkspace::new()).unwrap();
-        assert_eq!(keep.len(), 4);
-        assert!(keep.contains(&0), "low-error corner evicted");
-        assert!(keep.contains(&5), "low-latency corner evicted");
-    }
-
-    #[test]
-    fn ranked_selection_pool_is_score_gated() {
-        // 12 candidates, k = 4: pool = top 6 scores; anything below the
-        // score cut can never be selected, however spread out it is
-        let archs: Vec<Architecture> = (0..12)
-            .map(|i| Architecture::nb201_from_index(i).unwrap())
-            .collect();
-        let mut scores = vec![0.0; 12];
-        for (i, s) in scores.iter_mut().enumerate().take(6) {
-            *s = 10.0 - i as f64;
-        }
-        // extreme objectives on a low-scored candidate
-        let mut objectives: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64, i as f64]).collect();
-        objectives[11] = vec![-1000.0, 1000.0];
-        let fitness = Fitness::Ranked {
-            scores,
-            objectives: share_objectives(objectives),
-        };
-        let keep = survivor_selection(&archs, &fitness, 4, &mut MooWorkspace::new()).unwrap();
-        assert!(
-            !keep.contains(&11),
-            "score-gated pool admitted a low-score candidate"
-        );
-    }
-
-    #[test]
-    fn ranked_selection_prefers_high_scores_first() {
-        // with more candidates than 2k, only the top-2k scores enter the
-        // diversity pool at all
-        let archs: Vec<Architecture> = (0..10)
-            .map(|i| Architecture::nb201_from_index(i).unwrap())
-            .collect();
-        let mut scores = vec![0.0; 10];
-        scores[3] = 5.0;
-        scores[6] = 4.0;
-        let objectives: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, i as f64]).collect();
-        let fitness = Fitness::Ranked {
-            scores,
-            objectives: share_objectives(objectives),
-        };
-        let keep = survivor_selection(&archs, &fitness, 1, &mut MooWorkspace::new()).unwrap();
-        // pool = top-2 scores {3, 6}; crowding over 2 points keeps both at
-        // infinity, truncation keeps the first by crowding order
-        assert_eq!(keep.len(), 1);
-        assert!(keep[0] == 3 || keep[0] == 6);
-    }
-
-    #[test]
-    fn duplicate_architectures_are_evicted() {
-        let arch = Architecture::nb201_from_index(5).unwrap();
-        let archs = vec![arch.clone(), arch.clone(), arch];
-        let fitness = Fitness::Scores(vec![3.0, 2.0, 1.0]);
-        let keep = survivor_selection(&archs, &fitness, 3, &mut MooWorkspace::new()).unwrap();
-        assert_eq!(keep, vec![0], "duplicates must collapse to one entry");
     }
 }

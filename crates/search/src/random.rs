@@ -1,10 +1,10 @@
 //! Random search (the paper's simplest baseline).
 
 use crate::clock::SearchClock;
-use crate::evaluator::{Evaluator, Fitness, SharedObjectives};
+use crate::evaluator::Evaluator;
 use crate::moea::SearchResult;
+use crate::select::{self, FitnessBuffer, Scratch};
 use crate::{Result, SearchError};
-use hwpr_moo::{Fronts, MooWorkspace};
 use hwpr_nasbench::{Architecture, SearchSpaceId};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -84,7 +84,7 @@ pub fn random_search(
         None => SearchClock::unbounded(),
     };
     let mut archs = Vec::with_capacity(config.samples);
-    let mut fitness: Option<Fitness> = None;
+    let mut fitness = FitnessBuffer::default();
     // sample and evaluate in chunks so the budget can cut the run short
     const CHUNK: usize = 512;
     while archs.len() < config.samples && !clock.exhausted() {
@@ -95,53 +95,21 @@ pub fn random_search(
                 Architecture::random(space, &mut rng)
             })
             .collect();
-        let chunk_fitness = evaluator.evaluate(&chunk, &mut clock)?;
+        fitness.absorb(evaluator.evaluate(&chunk, &mut clock)?, chunk.len())?;
         archs.extend(chunk);
-        fitness = Some(match (fitness.take(), chunk_fitness) {
-            (None, f) => f,
-            (Some(Fitness::Scores(mut a)), Fitness::Scores(b)) => {
-                a.extend(b);
-                Fitness::Scores(a)
-            }
-            (Some(Fitness::Objectives(mut a)), Fitness::Objectives(b)) => {
-                a.extend(b);
-                Fitness::Objectives(a)
-            }
-            (
-                Some(Fitness::Ranked {
-                    scores: mut sa,
-                    objectives: mut oa,
-                }),
-                Fitness::Ranked {
-                    scores: sb,
-                    objectives: ob,
-                },
-            ) => {
-                sa.extend(sb);
-                oa.extend(ob);
-                Fitness::Ranked {
-                    scores: sa,
-                    objectives: oa,
-                }
-            }
-            _ => return Err(SearchError::Surrogate("fitness kind changed".into())),
-        });
     }
-    let fitness = fitness.ok_or_else(|| SearchError::Config("no samples evaluated".into()))?;
-    let mut moo = MooWorkspace::new();
-    let keep = best_indices(&archs, &fitness, config.keep.min(archs.len()), &mut moo)?;
+    if fitness.kind.is_none() {
+        return Err(SearchError::Config("no samples evaluated".into()));
+    }
+    let mut scratch = Scratch::default();
+    select::survivors_into(&archs, &fitness, config.keep.min(archs.len()), &mut scratch)?;
     let surrogate_calls = evaluator
         .calls_made()
         .map_or(archs.len() * evaluator.calls_per_arch(), |calls| {
             calls as usize
         });
-    // kept indices are unique: move the winners out instead of cloning
-    let mut archs: Vec<Option<Architecture>> = archs.into_iter().map(Some).collect();
     Ok(SearchResult {
-        population: keep
-            .iter()
-            .map(|&i| archs[i].take().expect("kept indices are unique"))
-            .collect(),
+        population: scratch.keep.iter().map(|&i| archs[i].clone()).collect(),
         evaluator: format!("Random Search ({})", evaluator.name()),
         wall_time: clock.wall_elapsed(),
         simulated_time: clock.simulated_elapsed(),
@@ -149,63 +117,6 @@ pub fn random_search(
         surrogate_calls,
         history: Vec::new(),
     })
-}
-
-fn best_indices(
-    archs: &[Architecture],
-    fitness: &Fitness,
-    k: usize,
-    moo: &mut MooWorkspace,
-) -> Result<Vec<usize>> {
-    // unique architectures only (uniform sampling can repeat)
-    let mut seen = std::collections::HashSet::new();
-    let unique: Vec<usize> = (0..archs.len())
-        .filter(|&i| seen.insert((archs[i].space(), archs[i].index())))
-        .collect();
-    match fitness {
-        Fitness::Scores(s) => {
-            let mut idx = unique;
-            idx.sort_by(|&a, &b| s[b].total_cmp(&s[a]));
-            idx.truncate(k);
-            Ok(idx)
-        }
-        Fitness::Ranked { scores, objectives } => {
-            // the score gates front membership: only the best-scored
-            // candidates (k plus a 25 % margin) enter the pool; crowding
-            // on the same call's predicted objectives then trims the
-            // margin so coverage, not score noise, decides the last slots
-            let mut pool = unique;
-            pool.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-            pool.truncate(k + k / 4 + 1);
-            if pool.len() <= k {
-                return Ok(pool);
-            }
-            let crowd = moo.crowding_distance_of(objectives, &pool)?;
-            let mut order: Vec<usize> = (0..pool.len()).collect();
-            order.sort_by(|&a, &b| crowd[b].total_cmp(&crowd[a]));
-            Ok(order.into_iter().take(k).map(|slot| pool[slot]).collect())
-        }
-        Fitness::Objectives(all_objs) => {
-            let objs: Vec<SharedObjectives> = unique.iter().map(|&i| all_objs[i].clone()).collect();
-            let mut fronts = Fronts::new();
-            moo.fast_non_dominated_sort_into(&objs, &mut fronts)?;
-            let mut keep = Vec::with_capacity(k);
-            for front in fronts.iter() {
-                if keep.len() + front.len() <= k {
-                    keep.extend(front.iter().map(|&i| unique[i]));
-                } else {
-                    let crowd = moo.crowding_distance_of(&objs, front)?;
-                    let mut order: Vec<usize> = (0..front.len()).collect();
-                    order.sort_by(|&a, &b| crowd[b].total_cmp(&crowd[a]));
-                    for &slot in order.iter().take(k - keep.len()) {
-                        keep.push(unique[front[slot]]);
-                    }
-                    break;
-                }
-            }
-            Ok(keep)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! read, front sort or hypervolume computation, so a search with
 //! telemetry off pays one relaxed atomic load per generation.
 
-use crate::evaluator::Fitness;
+use crate::evaluator::SharedObjectives;
 use hwpr_moo::{nadir_reference_point, IncrementalHv2, MooWorkspace};
 use hwpr_obs::metrics::{registry, Histogram};
 use hwpr_obs::Value;
@@ -77,8 +77,9 @@ pub(crate) struct GenerationRecord<'a> {
     pub elapsed_ms: f64,
     /// Latency of this generation's offspring evaluation, when timed.
     pub eval_ms: Option<f64>,
-    /// The surviving population's fitness.
-    pub fitness: &'a Fitness,
+    /// The surviving population's objectives (empty for score-only
+    /// fitness).
+    pub objectives: &'a [SharedObjectives],
     /// `(hits, misses)` from a cache-backed evaluator.
     pub cache: Option<(u64, u64)>,
     /// Also emit the Pareto-front point set (`search.front`).
@@ -110,11 +111,8 @@ impl GenerationTelemetry {
             return;
         }
         let mut front_points: Vec<Vec<f64>> = Vec::new();
-        if let Fitness::Objectives(objs)
-        | Fitness::Ranked {
-            objectives: objs, ..
-        } = rec.fitness
-        {
+        let objs = rec.objectives;
+        if !objs.is_empty() {
             if let Ok(front) = self.moo.pareto_front(objs) {
                 front_points = front.iter().map(|&i| objs[i].as_ref().clone()).collect();
             }

@@ -7,14 +7,16 @@
 //!   the uninterrupted run (populations, archive, hypervolume);
 //! - a snapshot's score cache is keyed by architecture strings in string
 //!   order, and a key that does not parse makes a resume fail with a
-//!   typed error.
+//!   typed error;
+//! - a snapshot truncated at any byte offset fails to load with a typed
+//!   error, never a panic.
 
 use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_search::{
-    Evaluator, HwPrNasEvaluator, IslandConfig, IslandSearch, IslandSearchResult, ScoreCache,
-    SearchError, SearchSnapshot,
+    share_objectives, Evaluator, Fitness, HwPrNasEvaluator, IslandConfig, IslandSearch,
+    IslandSearchResult, ScoreCache, SearchClock, SearchError, SearchSnapshot,
 };
 use std::sync::Arc;
 
@@ -218,4 +220,71 @@ fn resume_rejects_a_cache_key_that_is_not_an_architecture() {
         assert!(cache.restore(&corrupted.islands[last].cache).is_err());
         assert!(cache.is_empty(), "key {key:?}: a partial restore leaked");
     }
+}
+
+/// Scores plus two antagonistic objectives, a pure function of the
+/// architecture: fills the snapshot's archive and reference point
+/// without a trained model.
+struct RankedStub;
+
+impl Evaluator for RankedStub {
+    fn name(&self) -> String {
+        "ranked-stub".to_string()
+    }
+
+    fn evaluate(
+        &mut self,
+        archs: &[Architecture],
+        _clock: &mut SearchClock,
+    ) -> hwpr_search::Result<Fitness> {
+        let x: Vec<f64> = archs
+            .iter()
+            .map(|a| (a.index() % 9973) as f64 / 9973.0)
+            .collect();
+        Ok(Fitness::Ranked {
+            scores: x.iter().map(|x| (x * 7.0).fract()).collect(),
+            objectives: share_objectives(x.iter().map(|&x| vec![x, 1.0 - x * x]).collect()),
+        })
+    }
+
+    fn calls_per_arch(&self) -> usize {
+        1
+    }
+}
+
+#[test]
+fn a_snapshot_cut_at_any_byte_is_a_typed_error() {
+    let config = IslandConfig::small(SearchSpaceId::NasBench201).with_seed(23);
+    let uninterrupted = IslandSearch::new(config.clone())
+        .unwrap()
+        .run(|_| Box::new(RankedStub))
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("hwpr_island_cut_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("snapshot.json");
+    IslandSearch::new(IslandConfig {
+        checkpoint_every: 1,
+        checkpoint_path: Some(path.to_string_lossy().into_owned()),
+        ..config
+    })
+    .unwrap()
+    .run(|_| Box::new(RankedStub))
+    .unwrap();
+    let bytes = std::fs::read(&path).expect("snapshot written");
+    assert!(bytes.len() > 100, "snapshot too small to mean anything");
+
+    let cut_path = dir.join("cut.json");
+    for cut in 0..bytes.len() {
+        std::fs::write(&cut_path, &bytes[..cut]).expect("write cut");
+        match IslandSearch::load_snapshot(&cut_path) {
+            Err(SearchError::Config(_)) => {}
+            other => panic!("snapshot cut at byte {cut} of {}: {other:?}", bytes.len()),
+        }
+    }
+
+    // the intact file still resumes to the uninterrupted result
+    let snapshot = IslandSearch::load_snapshot(&path).expect("intact snapshot loads");
+    let resumed = IslandSearch::resume(&snapshot, |_| Box::new(RankedStub)).expect("resume runs");
+    assert_bit_identical(&uninterrupted, &resumed);
+    std::fs::remove_dir_all(&dir).ok();
 }

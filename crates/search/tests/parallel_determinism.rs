@@ -53,6 +53,10 @@ fn front_of(model: &HwPrNas, population: &[Architecture]) -> Vec<String> {
 #[test]
 fn parallel_search_matches_serial_bit_for_bit() {
     let model = trained_model();
+    // a 4-row compiled batch splits each 16-row generation across the
+    // 4-thread evaluator's workers (at the default 256-row batch both
+    // evaluators would run every batch on the calling thread)
+    model.freeze_with_batch(4);
     let mut serial = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(1);
     let mut parallel = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(4);
     let a = search(&mut serial);
