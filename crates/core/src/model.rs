@@ -14,39 +14,9 @@ use parking_lot::RwLock;
 use rand_chacha::rand_core::SeedableRng;
 use std::sync::Arc;
 
-/// Default maximum batch size used during inference (bounds tape memory
+/// Maximum batch size used during inference (bounds tape memory
 /// and sizes the frozen engine's activation arenas).
 pub(crate) const INFER_BATCH: usize = 256;
-
-/// Inference chunk size: [`INFER_BATCH`] unless overridden through the
-/// `HWPR_INFER_BATCH` environment variable.
-pub(crate) fn infer_batch() -> usize {
-    hwpr_obs::env_or_else(
-        "HWPR_INFER_BATCH",
-        "a positive integer",
-        parse_batch,
-        || INFER_BATCH,
-        INFER_BATCH,
-    )
-}
-
-fn parse_batch(spec: &str) -> Option<usize> {
-    spec.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Parses an `HWPR_INFER_BATCH` override through the shared
-/// warn-and-default policy, falling back to the default on anything that
-/// is not a positive integer.
-#[cfg(test)]
-fn batch_from_spec(spec: &str) -> usize {
-    hwpr_obs::spec_or(
-        "HWPR_INFER_BATCH",
-        "a positive integer",
-        spec,
-        parse_batch,
-        INFER_BATCH,
-    )
-}
 
 /// Denormalises a predicted accuracy into the minimisation objective
 /// `error %` (the model regresses accuracy in `[0, 1]`).
@@ -102,8 +72,11 @@ pub(crate) struct BranchOutputs {
 }
 
 impl HwPrNas {
-    /// Builds an untrained model (used by the trainer).
+    /// Builds a model whose layers register against `params`: a new
+    /// store initialises them (the trainer), a [`Params::restoring`]
+    /// store hands them saved values (the loader).
     pub(crate) fn build(
+        mut params: Params,
         config: &ModelConfig,
         cache: EncodingCache,
         train_archs: &[Architecture],
@@ -113,7 +86,6 @@ impl HwPrNas {
     ) -> Result<Self> {
         assert_eq!(platforms.len(), max_latency.len());
         let model_config = config.clone();
-        let mut params = Params::new();
         let accuracy_encoder = EncoderSet::new(
             &mut params,
             "acc_enc",
@@ -195,10 +167,9 @@ impl HwPrNas {
         })
     }
 
-    /// The compiled tape-free inference engine, built on first use (and
-    /// after every [`Self::invalidate_frozen`]). Weight packing happens
-    /// exactly once per trained model; repeat calls share the compiled
-    /// engine through an [`Arc`].
+    /// The compiled tape-free inference engine, built on first use.
+    /// Weight packing happens exactly once per trained model; repeat
+    /// calls share the compiled engine through an [`Arc`].
     pub fn frozen(&self) -> Arc<FrozenModel> {
         if let Some(f) = self.frozen.read().as_ref() {
             return Arc::clone(f);
@@ -207,25 +178,18 @@ impl HwPrNas {
         if let Some(f) = slot.as_ref() {
             return Arc::clone(f);
         }
-        let f = Arc::new(FrozenModel::compile(self, infer_batch()));
+        let f = Arc::new(FrozenModel::compile(self, INFER_BATCH));
         *slot = Some(Arc::clone(&f));
         f
     }
 
     /// Compiles (and installs) a frozen engine with an explicit chunk
-    /// size, bypassing `HWPR_INFER_BATCH`. Exposed so tests can force
-    /// uneven final chunks.
+    /// size instead of [`INFER_BATCH`]. Exposed so tests can force uneven
+    /// final chunks.
     pub fn freeze_with_batch(&self, batch: usize) -> Arc<FrozenModel> {
         let f = Arc::new(FrozenModel::compile(self, batch.max(1)));
         *self.frozen.write() = Some(Arc::clone(&f));
         f
-    }
-
-    /// Drops the compiled engine; the next predict call recompiles from
-    /// the current parameter values. Must be called whenever `params`
-    /// change after a freeze (training steps, weight restores).
-    pub(crate) fn invalidate_frozen(&self) {
-        *self.frozen.write() = None;
     }
 
     /// The platforms this model carries latency heads for.
@@ -343,7 +307,7 @@ impl HwPrNas {
         // one tape for all chunks: reset() recycles buffers between passes
         let mut tape = Tape::new();
         let mut bound: Vec<Option<Var>> = Vec::new();
-        for chunk in archs.chunks(infer_batch()) {
+        for chunk in archs.chunks(INFER_BATCH) {
             tape.reset();
             let mut binder = Binder::rebind(&mut tape, &self.params, bound, false);
             let outputs = self.forward(&mut binder, chunk, slot, &mut rng)?;
@@ -392,7 +356,7 @@ impl HwPrNas {
         let mut objectives = Vec::with_capacity(archs.len());
         let mut tape = Tape::new();
         let mut bound: Vec<Option<Var>> = Vec::new();
-        for chunk in archs.chunks(infer_batch()) {
+        for chunk in archs.chunks(INFER_BATCH) {
             tape.reset();
             let mut binder = Binder::rebind(&mut tape, &self.params, bound, false);
             let outputs = self.forward(&mut binder, chunk, slot, &mut rng)?;
@@ -476,7 +440,7 @@ impl HwPrNas {
         let mut out = Vec::with_capacity(archs.len());
         let mut tape = Tape::new();
         let mut bound: Vec<Option<Var>> = Vec::new();
-        for chunk in archs.chunks(infer_batch()) {
+        for chunk in archs.chunks(INFER_BATCH) {
             tape.reset();
             let mut binder = Binder::rebind(&mut tape, &self.params, bound, false);
             let outputs = self.forward(&mut binder, chunk, slot, &mut rng)?;
@@ -541,16 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_spec_parses_and_falls_back() {
-        assert_eq!(batch_from_spec("7"), 7);
-        assert_eq!(batch_from_spec(" 512 "), 512);
-        assert_eq!(batch_from_spec("0"), INFER_BATCH);
-        assert_eq!(batch_from_spec("-3"), INFER_BATCH);
-        assert_eq!(batch_from_spec("lots"), INFER_BATCH);
-        assert_eq!(batch_from_spec(""), INFER_BATCH);
-    }
-
-    #[test]
     fn denorm_helpers_clamp() {
         assert_eq!(denorm_error(0.95), 100.0 - 0.95f32 as f64 * 100.0);
         assert_eq!(denorm_error(2.0), 0.0); // accuracy above 100% clamps
@@ -562,15 +516,12 @@ mod tests {
     }
 
     #[test]
-    fn freeze_compiles_once_and_invalidates() {
+    fn freeze_compiles_once() {
         let data = tiny_dataset();
         let (model, _) = HwPrNas::fit(&data, &ModelConfig::tiny(), &TrainConfig::tiny()).unwrap();
         let a = model.frozen();
         let b = model.frozen();
         assert!(Arc::ptr_eq(&a, &b), "repeat freezes must share the engine");
-        model.invalidate_frozen();
-        let c = model.frozen();
-        assert!(!Arc::ptr_eq(&a, &c), "invalidation must force a recompile");
     }
 
     #[test]

@@ -13,7 +13,8 @@ use crate::data::EncodingCache;
 use crate::model::HwPrNas;
 use crate::{CoreError, Result};
 use hwpr_hwmodel::Platform;
-use hwpr_nasbench::{Architecture, Dataset};
+use hwpr_nasbench::{graph, tokens, Architecture, Dataset};
+use hwpr_nn::Params;
 use hwpr_tensor::Matrix;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -190,6 +191,70 @@ pub fn read_json_file<T: Deserialize>(path: impl AsRef<Path>) -> Result<T> {
     serde_json::from_str(&json).map_err(|e| CoreError::Data(format!("parse: {e}")))
 }
 
+/// Rejects a document whose sizes the file itself does not back, before
+/// the rebuild. The rebuild takes its weights from the document
+/// ([`Params::restoring`]), so what it allocates besides them is sized by
+/// the widths, the layer counts and the encoding padding: every width
+/// must be a dimension of one of the document's parameters (whose shapes
+/// must match their data), every layer must have a parameter of its
+/// own, and the padding must fit `seed` and need no more than the
+/// widest search space. A forged `gcn_hidden = 2^40` is then an error,
+/// not an allocation.
+fn check_sizes(saved: &SavedModel, seed: &Architecture) -> Result<()> {
+    let bad = |what: String| Err(CoreError::Data(format!("model document: {what}")));
+    let mut dims = std::collections::HashSet::new();
+    for (i, p) in saved.parameters.iter().enumerate() {
+        let (rows, cols) = p.shape();
+        if rows.checked_mul(cols) != Some(p.len()) {
+            return bad(format!(
+                "parameter {i} is {rows}x{cols} but holds {} values",
+                p.len()
+            ));
+        }
+        dims.extend([rows, cols]);
+    }
+    let config = &saved.model_config;
+    let widths = [config.gcn_hidden, config.lstm_hidden, config.embed_dim];
+    if let Some(w) = widths
+        .iter()
+        .chain(&config.mlp_hidden)
+        .find(|&&w| w == 0 || !dims.contains(&w))
+    {
+        return bad(format!("width {w} is not a dimension of any parameter"));
+    }
+    if saved.platforms.len() != saved.max_latency.len() {
+        return bad(format!(
+            "{} platforms but {} latency scales",
+            saved.platforms.len(),
+            saved.max_latency.len()
+        ));
+    }
+    // the two encoders' layers, then one MLP per head (accuracy, each
+    // platform) with a layer per hidden width plus its output layer
+    let layers = (saved.platforms.len() + 1)
+        .checked_mul(config.mlp_hidden.len() + 1)
+        .and_then(|heads| heads.checked_add(config.gcn_layers))
+        .and_then(|n| n.checked_add(config.lstm_layers));
+    if config.gcn_layers == 0
+        || config.lstm_layers == 0
+        || layers.is_none_or(|n| n > saved.parameters.len())
+    {
+        return bad(format!(
+            "layer counts do not fit its {} parameters",
+            saved.parameters.len()
+        ));
+    }
+    let nodes = graph::natural_nodes(seed)..=graph::FBNET_NODES;
+    let seq_len = tokens::tokens(seed).len()..=tokens::MAX_SEQUENCE_LEN;
+    if !nodes.contains(&saved.cache_nodes) || !seq_len.contains(&saved.cache_seq_len) {
+        return bad(format!(
+            "encoding padding {}x{} outside {nodes:?}x{seq_len:?}",
+            saved.cache_nodes, saved.cache_seq_len
+        ));
+    }
+    Ok(())
+}
+
 impl HwPrNas {
     /// The model's on-disk form (always at the current
     /// [`FORMAT_VERSION`]).
@@ -257,11 +322,13 @@ impl HwPrNas {
                 saved.version
             )));
         }
-        let cache = EncodingCache::new(saved.dataset, saved.cache_nodes, saved.cache_seq_len);
         // any single architecture suffices to construct the encoders; the
         // fitted normalisers are restored explicitly right after
         let seed_arch = Architecture::nb201_from_index(0).expect("index 0 exists");
+        check_sizes(&saved, &seed_arch)?;
+        let cache = EncodingCache::new(saved.dataset, saved.cache_nodes, saved.cache_seq_len);
         let mut model = Self::build(
+            Params::restoring(saved.parameters),
             &saved.model_config,
             cache,
             &[seed_arch],
@@ -269,32 +336,16 @@ impl HwPrNas {
             saved.max_latency,
             saved.dataset,
         )?;
+        model
+            .params
+            .finish_restore()
+            .map_err(|e| CoreError::Data(format!("model document: {e}")))?;
         if let Some(n) = saved.accuracy_normalizer {
             model.accuracy_encoder.set_normalizer(n);
         }
         if let Some(n) = saved.latency_normalizer {
             model.latency_encoder.set_normalizer(n);
         }
-        let ids = model.params.ids();
-        if ids.len() != saved.parameters.len() {
-            return Err(CoreError::Data(format!(
-                "parameter count mismatch: document has {}, architecture needs {}",
-                saved.parameters.len(),
-                ids.len()
-            )));
-        }
-        for (id, value) in ids.into_iter().zip(saved.parameters) {
-            if model.params.get(id).shape() != value.shape() {
-                return Err(CoreError::Data(format!(
-                    "parameter `{}` shape mismatch",
-                    model.params.name(id)
-                )));
-            }
-            *model.params.get_mut(id) = value;
-        }
-        // the weights changed after build: any frozen engine compiled in
-        // between (none today, but cheap insurance) would be stale
-        model.invalidate_frozen();
         Ok(model)
     }
 
@@ -442,6 +493,106 @@ mod tests {
         model.save(&path).unwrap();
         assert_eq!(*seen.lock(), 1, "a dropped watch must not fire");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A model small enough that its document can be cut at every byte.
+    fn micro() -> (HwPrNas, Vec<Architecture>) {
+        let (_, data) = trained();
+        let config = ModelConfig {
+            gcn_hidden: 3,
+            gcn_layers: 1,
+            lstm_hidden: 2,
+            embed_dim: 5,
+            mlp_hidden: vec![4],
+            ..ModelConfig::tiny()
+        };
+        let train = TrainConfig {
+            epochs: 1,
+            fusion_finetune_epochs: 1,
+            ..TrainConfig::tiny()
+        };
+        let (model, _) = HwPrNas::fit(&data, &config, &train).unwrap();
+        let archs = data.samples().iter().map(|s| s.arch.clone()).collect();
+        (model, archs)
+    }
+
+    #[test]
+    fn a_model_document_cut_at_any_byte_is_a_typed_error() {
+        let (model, archs) = micro();
+        let json = model.to_json().unwrap();
+        for cut in 0..json.len() {
+            // compact JSON: a proper prefix never closes its object
+            match HwPrNas::from_json(&json[..cut]) {
+                Err(CoreError::Data(_)) => {}
+                other => panic!("cut at byte {cut} loaded as {other:?}"),
+            }
+        }
+        let restored = HwPrNas::from_json(&json).unwrap();
+        assert_eq!(
+            restored.predict_scores(&archs, Platform::EdgeGpu).unwrap(),
+            model.predict_scores(&archs, Platform::EdgeGpu).unwrap()
+        );
+        assert_eq!(
+            restored
+                .predict_objectives(&archs, Platform::EdgeGpu)
+                .unwrap(),
+            model.predict_objectives(&archs, Platform::EdgeGpu).unwrap()
+        );
+    }
+
+    #[test]
+    fn sizes_the_document_does_not_back_are_rejected_before_building() {
+        let (model, _) = micro();
+        const HUGE: usize = 1 << 40;
+        let forgeries: [fn(&mut SavedModel); 15] = [
+            |s| s.model_config.gcn_hidden = HUGE,
+            |s| s.model_config.lstm_hidden = HUGE,
+            |s| s.model_config.embed_dim = HUGE,
+            |s| s.model_config.mlp_hidden = vec![HUGE],
+            |s| s.model_config.gcn_layers = HUGE,
+            |s| s.model_config.lstm_layers = 0,
+            // widths the document backs, in more layers than it holds
+            |s| s.model_config.mlp_hidden = vec![4; 1000],
+            |s| {
+                s.platforms = vec![Platform::EdgeGpu; 1000];
+                s.max_latency = vec![1.0; 1000];
+            },
+            // a width one extra parameter backs: its 2^40-weight GCN layer
+            // must come from the document, which does not hold it
+            |s| {
+                s.parameters.push(Matrix::zeros(1, 1 << 20));
+                s.model_config.gcn_hidden = 1 << 20;
+                s.model_config.gcn_layers = 2;
+            },
+            |s| s.cache_nodes = HUGE,
+            |s| s.cache_seq_len = HUGE,
+            |s| s.max_latency.push(1.0),
+            // shapes that disagree with the architecture, a weight short or one
+            // too many
+            |s| s.parameters.reverse(),
+            |s| {
+                s.parameters.pop();
+            },
+            |s| s.parameters.push(Matrix::zeros(1, 1)),
+        ];
+        for (i, forge) in forgeries.iter().enumerate() {
+            let mut saved = model.saved();
+            forge(&mut saved);
+            let json = serde_json::to_string(&saved).unwrap();
+            assert!(
+                matches!(HwPrNas::from_json(&json), Err(CoreError::Data(_))),
+                "forgery {i} accepted"
+            );
+        }
+        // a parameter whose shape claims more values than it holds
+        let json = model.to_json().unwrap();
+        let rows = json.find("\"rows\":").unwrap() + "\"rows\":".len();
+        let digits = json[rows..].find(',').unwrap();
+        let forged = format!("{}{HUGE}{}", &json[..rows], &json[rows + digits..]);
+        assert!(matches!(
+            HwPrNas::from_json(&forged),
+            Err(CoreError::Data(_))
+        ));
     }
 
     #[test]

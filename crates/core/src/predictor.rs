@@ -322,7 +322,7 @@ impl Predictor {
             } => {
                 let mut rng = LayerRng::seed_from_u64(0);
                 let mut out = Vec::with_capacity(archs.len());
-                for chunk in archs.chunks(crate::model::infer_batch()) {
+                for chunk in archs.chunks(crate::model::INFER_BATCH) {
                     let mut tape = Tape::new();
                     let mut binder = Binder::new(&mut tape, params);
                     let repr = encoder.forward(&mut binder, &self.cache, chunk, &mut rng)?;

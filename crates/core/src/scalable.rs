@@ -117,7 +117,7 @@ impl ScalableHwPrNas {
     pub fn predict_scores(&self, archs: &[Architecture]) -> Result<Vec<f64>> {
         let mut rng = LayerRng::seed_from_u64(0);
         let mut out = Vec::with_capacity(archs.len());
-        for chunk in archs.chunks(crate::model::infer_batch()) {
+        for chunk in archs.chunks(crate::model::INFER_BATCH) {
             let mut tape = Tape::new();
             let mut binder = Binder::new(&mut tape, &self.params);
             let repr = self

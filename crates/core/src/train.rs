@@ -11,7 +11,7 @@ use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_nn::batch::shuffled_batches;
 use hwpr_nn::layers::LayerRng;
 use hwpr_nn::optim::{AdamW, CosineAnnealing, EarlyStopping, Optimizer};
-use hwpr_nn::Binder;
+use hwpr_nn::{Binder, Params};
 use hwpr_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
@@ -106,6 +106,7 @@ impl HwPrNas {
         let train_archs: Vec<Architecture> =
             train.samples().iter().map(|s| s.arch.clone()).collect();
         let mut model = Self::build(
+            Params::new(),
             model_config,
             cache,
             &train_archs,
@@ -155,6 +156,7 @@ impl HwPrNas {
             .map(|d| d.max_latency().max(1e-9))
             .collect();
         let mut model = Self::build(
+            Params::new(),
             model_config,
             cache,
             &train_archs,

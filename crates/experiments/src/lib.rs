@@ -50,27 +50,29 @@ impl std::fmt::Display for Scale {
 }
 
 impl Scale {
-    /// Reads `HWPR_SCALE` through the shared warn-and-default policy
-    /// (`smoke` | `fast` | `paper`); unset or empty means
-    /// [`Scale::Fast`], anything else warns and falls back to it.
+    /// Reads `HWPR_SCALE` (`smoke` | `fast` | `paper`); unset means
+    /// [`Scale::Fast`].
     pub fn from_env() -> Self {
-        hwpr_obs::env_or_else(
-            "HWPR_SCALE",
-            "smoke, fast or paper",
-            Self::parse,
-            || Scale::Fast,
-            Scale::Fast,
-        )
+        std::env::var("HWPR_SCALE").map_or(Scale::Fast, |spec| Self::from_spec(&spec))
     }
 
-    /// Parses an `HWPR_SCALE` value; the empty string means the default
-    /// scale (so `HWPR_SCALE= cmd` behaves like an unset variable).
-    fn parse(spec: &str) -> Option<Self> {
+    /// Parses an `HWPR_SCALE` value. The empty string means the default
+    /// scale (so `HWPR_SCALE= cmd` behaves like an unset variable);
+    /// anything else unrecognised warns through the telemetry sink and
+    /// falls back to [`Scale::Fast`]: a typo must neither silently change
+    /// an experiment's configuration nor kill it.
+    fn from_spec(spec: &str) -> Self {
         match spec.trim() {
-            "smoke" => Some(Scale::Smoke),
-            "" | "fast" => Some(Scale::Fast),
-            "paper" => Some(Scale::Paper),
-            _ => None,
+            "smoke" => Scale::Smoke,
+            "" | "fast" => Scale::Fast,
+            "paper" => Scale::Paper,
+            _ => {
+                hwpr_obs::warn(format!(
+                    "invalid HWPR_SCALE value {spec:?} (expected smoke, fast or paper); \
+                     falling back to fast"
+                ));
+                Scale::Fast
+            }
         }
     }
 
@@ -572,6 +574,15 @@ mod tests {
         assert_eq!(Scale::Paper.train_config(), TrainConfig::paper());
         let rs = Scale::Smoke.random_config(vec![SearchSpaceId::NasBench201]);
         assert_eq!(rs.samples, 12 * 7);
+    }
+
+    #[test]
+    fn scale_spec_parses_and_falls_back_on_junk() {
+        assert_eq!(Scale::from_spec("smoke"), Scale::Smoke);
+        assert_eq!(Scale::from_spec(" paper "), Scale::Paper);
+        assert_eq!(Scale::from_spec("fast"), Scale::Fast);
+        assert_eq!(Scale::from_spec(""), Scale::Fast);
+        assert_eq!(Scale::from_spec("huge"), Scale::Fast);
     }
 
     #[test]

@@ -16,6 +16,10 @@ pub struct ParamId(usize);
 pub struct Params {
     values: Vec<Matrix>,
     names: Vec<String>,
+    /// While restoring (see [`Params::restoring`]): the saved values
+    /// registrations take in order, and the first registration that found
+    /// no saved value of its shape.
+    restore: Option<Box<(std::vec::IntoIter<Matrix>, Option<String>)>>,
 }
 
 impl Params {
@@ -24,13 +28,66 @@ impl Params {
         Self::default()
     }
 
+    /// A store that rebuilds a saved model: each registration takes the
+    /// next of `values`, in order, instead of initialising a new matrix,
+    /// so building layers against it allocates no weights beyond what
+    /// `values` holds. [`Params::finish_restore`] reports any mismatch.
+    pub fn restoring(values: Vec<Matrix>) -> Self {
+        Self {
+            restore: Some(Box::new((values.into_iter(), None))),
+            ..Self::default()
+        }
+    }
+
+    /// Ends a [`Params::restoring`] build (a no-op on any other store).
+    ///
+    /// # Errors
+    ///
+    /// Names the first registration that found no saved value of its
+    /// shape, or counts the saved values no registration took.
+    pub fn finish_restore(&mut self) -> std::result::Result<(), String> {
+        match self.restore.take().map(|r| *r) {
+            Some((_, Some(mismatch))) => Err(mismatch),
+            Some((left, None)) if left.len() > 0 => {
+                Err(format!("{} saved parameters left over", left.len()))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// In a restoring store, the next saved value if it is `rows x cols`,
+    /// else an empty placeholder (and the mismatch is recorded); `None` in
+    /// any other store.
+    fn restored(&mut self, name: &str, rows: usize, cols: usize) -> Option<Matrix> {
+        let (saved, mismatch) = self.restore.as_deref_mut()?;
+        Some(match saved.next() {
+            Some(value) if value.shape() == (rows, cols) => value,
+            _ => {
+                mismatch.get_or_insert_with(|| {
+                    format!("parameter `{name}` has no saved {rows}x{cols} value")
+                });
+                Matrix::default()
+            }
+        })
+    }
+
     /// Registers a parameter initialised by `init` with the given `seed`.
     pub fn add(&mut self, name: &str, rows: usize, cols: usize, init: Init, seed: u64) -> ParamId {
-        self.add_matrix(name, init.matrix(rows, cols, seed))
+        let value = self
+            .restored(name, rows, cols)
+            .unwrap_or_else(|| init.matrix(rows, cols, seed));
+        self.push(name, value)
     }
 
     /// Registers a parameter with an explicit initial value.
     pub fn add_matrix(&mut self, name: &str, value: Matrix) -> ParamId {
+        let value = self
+            .restored(name, value.rows(), value.cols())
+            .unwrap_or(value);
+        self.push(name, value)
+    }
+
+    fn push(&mut self, name: &str, value: Matrix) -> ParamId {
         self.values.push(value);
         self.names.push(name.to_string());
         ParamId(self.values.len() - 1)

@@ -118,94 +118,9 @@ pub fn init_from_env() -> bool {
     }
 }
 
-/// Shared warn-and-default parser for `HWPR_*` environment overrides.
-///
-/// Every tunable in the workspace (`HWPR_THREADS`, `HWPR_INFER_BATCH`,
-/// `HWPR_SCALE`, the `HWPR_SERVE_*` limits) follows the same policy: a
-/// value `parse` accepts is used as-is; anything else warns **through
-/// the telemetry event sink** — naming the variable, the expected
-/// grammar and the fallback actually taken — and returns `fallback`.
-/// A typo must never silently change an experiment's configuration, and
-/// must never kill it either.
-pub fn spec_or<T: std::fmt::Display>(
-    name: &str,
-    expected: &str,
-    spec: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-    fallback: T,
-) -> T {
-    match parse(spec) {
-        Some(value) => value,
-        None => {
-            crate::warn(format!(
-                "invalid {name} value {spec:?} (expected {expected}); \
-                 falling back to {fallback}"
-            ));
-            fallback
-        }
-    }
-}
-
-/// Reads the environment variable `name` and resolves it with the
-/// [`spec_or`] warn-and-default policy; an unset variable yields
-/// `unset()` (which may differ from the `invalid` fallback — e.g.
-/// `HWPR_THREADS` defaults to the machine's parallelism when unset but
-/// drops to 1 worker on garbage).
-pub fn env_or_else<T: std::fmt::Display>(
-    name: &str,
-    expected: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-    unset: impl FnOnce() -> T,
-    invalid: T,
-) -> T {
-    match std::env::var(name) {
-        Ok(spec) => spec_or(name, expected, &spec, parse, invalid),
-        Err(_) => unset(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_or_uses_parsed_values_and_falls_back_on_garbage() {
-        assert_eq!(
-            spec_or(
-                "HWPR_X",
-                "a positive integer",
-                "4",
-                |s| s.parse::<usize>().ok(),
-                7
-            ),
-            4
-        );
-        assert_eq!(
-            spec_or(
-                "HWPR_X",
-                "a positive integer",
-                "lots",
-                |s| s.parse::<usize>().ok(),
-                7
-            ),
-            7
-        );
-    }
-
-    #[test]
-    fn env_or_else_distinguishes_unset_from_invalid() {
-        // unset: the `unset` closure decides (no warning)
-        assert_eq!(
-            env_or_else(
-                "HWPR_TEST_UNSET_SENTINEL",
-                "a positive integer",
-                |s| s.parse::<usize>().ok(),
-                || 42,
-                1,
-            ),
-            42
-        );
-    }
 
     #[test]
     fn parse_accepts_the_documented_forms() {

@@ -59,7 +59,7 @@ pub mod sink;
 pub mod span;
 pub mod trace;
 
-pub use config::{env_or_else, init_from_env, spec_or, TelemetrySpec};
+pub use config::{init_from_env, TelemetrySpec};
 pub use event::Event;
 pub use serde::Value;
 pub use sink::Recorder;

@@ -359,7 +359,7 @@ mod tests {
                 t_us: 950,
             },
             Event::Warn {
-                message: "invalid HWPR_THREADS".into(),
+                message: "invalid HWPR_SCALE".into(),
                 t_us: 10,
             },
             Event::Record {
@@ -377,7 +377,7 @@ mod tests {
         assert!(text.contains("tensor.gemm.calls"));
         assert!(text.contains("autograd.tape.nodes"));
         assert!(text.contains("search.eval_ms"));
-        assert!(text.contains("invalid HWPR_THREADS"));
+        assert!(text.contains("invalid HWPR_SCALE"));
         assert!(text.contains("search.generation (1 rows):"));
         assert!(text.contains("0.75"));
     }

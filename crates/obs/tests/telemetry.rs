@@ -291,7 +291,7 @@ fn every_event_kind_round_trips_through_jsonl() {
             t_us: 101,
         },
         Event::Warn {
-            message: "invalid HWPR_THREADS".into(),
+            message: "invalid HWPR_SCALE".into(),
             t_us: 5,
         },
         Event::Record {

@@ -381,45 +381,18 @@ impl ScoreCache {
     }
 }
 
-/// Worker-thread count for parallel surrogate evaluation: `HWPR_THREADS`
-/// when set to a positive integer, otherwise the machine's available
-/// parallelism. An invalid or zero `HWPR_THREADS` warns through the
-/// telemetry event sink and falls back to the serial path (1 thread) —
-/// a typo must not silently grab every core.
-pub fn evaluation_threads() -> usize {
-    hwpr_obs::env_or_else(
-        "HWPR_THREADS",
-        "a positive integer",
-        parse_threads,
-        || std::thread::available_parallelism().map_or(1, |n| n.get()),
-        1,
-    )
-}
-
-fn parse_threads(spec: &str) -> Option<usize> {
-    spec.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Parses an explicit `HWPR_THREADS` value through the shared
-/// warn-and-default policy (factored out of [`evaluation_threads`] so
-/// tests need not mutate the environment).
-#[cfg(test)]
-pub(crate) fn threads_from_spec(spec: &str) -> usize {
-    hwpr_obs::spec_or("HWPR_THREADS", "a positive integer", spec, parse_threads, 1)
-}
-
 /// Evaluates with the full HW-PR-NAS model: one call yields the Pareto
 /// score and the branch objective predictions (Fig. 3).
 ///
 /// Each call looks every architecture up in a cross-generation
 /// [`ScoreCache`] and sends only the distinct misses to
 /// [`HwPrNas::predict_full_parallel`]. That call runs on the calling
-/// thread when the misses fit one compiled batch (256 rows by default,
-/// which a generation's offspring always do) and otherwise fans out over
-/// `crossbeam` scoped workers (count from `HWPR_THREADS`, default
-/// available parallelism). Results are spliced back in input index order
-/// and dropout is inert at inference, so a seeded search is bit-identical
-/// regardless of the thread count.
+/// thread when the misses fit one compiled batch (256 rows, which a
+/// generation's offspring always do) and otherwise fans out over
+/// `crossbeam` scoped workers (one per available core unless
+/// [`HwPrNasEvaluator::with_threads`] says otherwise). Results are
+/// spliced back in input index order and dropout is inert at inference,
+/// so a seeded search is bit-identical regardless of the thread count.
 #[derive(Debug)]
 pub struct HwPrNasEvaluator {
     model: Arc<HwPrNas>,
@@ -443,7 +416,7 @@ impl HwPrNasEvaluator {
             model,
             platform,
             call_cost_s: 0.0,
-            threads: evaluation_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache: Arc::new(ScoreCache::new()),
         }
     }
@@ -575,18 +548,6 @@ impl std::fmt::Debug for ScoreEvaluator {
 }
 
 impl ScoreEvaluator {
-    /// Wraps a trained HW-PR-NAS model for `platform`.
-    pub fn hw_pr_nas(model: HwPrNas, platform: Platform) -> Self {
-        Self {
-            name: "HW-PR-NAS".to_string(),
-            score_fn: Box::new(move |archs| {
-                model
-                    .predict_scores(archs, platform)
-                    .map_err(|e| SearchError::Surrogate(e.to_string()))
-            }),
-        }
-    }
-
     /// Wraps an arbitrary scoring function (used by the scalable variant
     /// and by tests).
     pub fn from_fn(name: impl Into<String>, score_fn: ScoreFn) -> Self {
@@ -765,25 +726,5 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 0);
-    }
-
-    #[test]
-    fn threads_spec_falls_back_to_serial_on_garbage() {
-        assert_eq!(threads_from_spec("4"), 4);
-        assert_eq!(threads_from_spec(" 2 "), 2);
-        // zero, negative and non-numeric specs warn and run serially
-        assert_eq!(threads_from_spec("0"), 1);
-        assert_eq!(threads_from_spec("-3"), 1);
-        assert_eq!(threads_from_spec("lots"), 1);
-        assert_eq!(threads_from_spec(""), 1);
-    }
-
-    #[test]
-    fn evaluation_threads_honours_env() {
-        // read-only check of the fallback path: without the env var the
-        // count is the machine parallelism (>= 1)
-        if std::env::var("HWPR_THREADS").is_err() {
-            assert!(evaluation_threads() >= 1);
-        }
     }
 }

@@ -106,22 +106,6 @@ impl IslandConfig {
         self
     }
 
-    /// Applies the `HWPR_ISLANDS` / `HWPR_MIGRATION_EVERY` /
-    /// `HWPR_CHECKPOINT_EVERY` environment overrides (warn-and-default on
-    /// junk, like every other `HWPR_*` knob).
-    pub fn with_env_overrides(mut self) -> Self {
-        if std::env::var(ISLANDS_ENV).is_ok() {
-            self.islands = island_count();
-        }
-        if std::env::var(MIGRATION_ENV).is_ok() {
-            self.migration_every = migration_interval();
-        }
-        if std::env::var(CHECKPOINT_ENV).is_ok() {
-            self.checkpoint_every = checkpoint_interval();
-        }
-        self
-    }
-
     fn variation(&self) -> Variation {
         Variation {
             population: self.population,
@@ -170,99 +154,6 @@ impl IslandConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// `HWPR_ISLANDS`: logical island count override.
-pub const ISLANDS_ENV: &str = "HWPR_ISLANDS";
-/// `HWPR_MIGRATION_EVERY`: epoch length override.
-pub const MIGRATION_ENV: &str = "HWPR_MIGRATION_EVERY";
-/// `HWPR_CHECKPOINT_EVERY`: checkpoint cadence override (epochs, 0=off).
-pub const CHECKPOINT_ENV: &str = "HWPR_CHECKPOINT_EVERY";
-
-/// Hard ceiling on `HWPR_ISLANDS`: beyond this the per-island population
-/// degenerates and the coordinator merge dominates.
-const MAX_ISLANDS: usize = 256;
-
-/// Island count: `HWPR_ISLANDS` when set to an integer in
-/// `1..=256`, otherwise the machine's available parallelism (capped the
-/// same way). Junk warns through the telemetry sink and falls back to 1
-/// — a typo must not silently fan a search out.
-pub fn island_count() -> usize {
-    hwpr_obs::env_or_else(
-        ISLANDS_ENV,
-        "an integer in 1..=256",
-        parse_islands,
-        || {
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(MAX_ISLANDS)
-        },
-        1,
-    )
-}
-
-fn parse_islands(spec: &str) -> Option<usize> {
-    spec.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| (1..=MAX_ISLANDS).contains(&n))
-}
-
-/// Migration epoch length: `HWPR_MIGRATION_EVERY` when set to a positive
-/// integer, otherwise 4 generations (also the junk fallback, with a
-/// warning).
-pub fn migration_interval() -> usize {
-    hwpr_obs::env_or_else(MIGRATION_ENV, "a positive integer", parse_positive, || 4, 4)
-}
-
-fn parse_positive(spec: &str) -> Option<usize> {
-    spec.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Checkpoint cadence in epochs: `HWPR_CHECKPOINT_EVERY` when set to an
-/// integer (`0` disables), otherwise off. Junk warns and stays off.
-pub fn checkpoint_interval() -> usize {
-    hwpr_obs::env_or_else(
-        CHECKPOINT_ENV,
-        "a non-negative integer",
-        |spec| spec.trim().parse::<usize>().ok(),
-        || 0,
-        0,
-    )
-}
-
-/// Spec-level parsers for the warn-and-default tests (no env mutation).
-#[cfg(test)]
-pub(crate) mod spec {
-    pub(crate) fn islands(spec: &str) -> usize {
-        hwpr_obs::spec_or(
-            super::ISLANDS_ENV,
-            "an integer in 1..=256",
-            spec,
-            super::parse_islands,
-            1,
-        )
-    }
-
-    pub(crate) fn migration(spec: &str) -> usize {
-        hwpr_obs::spec_or(
-            super::MIGRATION_ENV,
-            "a positive integer",
-            spec,
-            super::parse_positive,
-            4,
-        )
-    }
-
-    pub(crate) fn checkpoint(spec: &str) -> usize {
-        hwpr_obs::spec_or(
-            super::CHECKPOINT_ENV,
-            "a non-negative integer",
-            spec,
-            |s| s.trim().parse::<usize>().ok(),
-            0,
-        )
     }
 }
 
@@ -1067,28 +958,6 @@ mod tests {
                 "degenerate config accepted"
             );
         }
-    }
-
-    #[test]
-    fn search_env_specs_warn_and_default_on_junk() {
-        // all four search knobs: junk, zero and out-of-range specs fall
-        // back to the documented defaults instead of erroring
-        assert_eq!(spec::islands("4"), 4);
-        assert_eq!(spec::islands(" 8 "), 8);
-        assert_eq!(spec::islands("0"), 1);
-        assert_eq!(spec::islands("-2"), 1);
-        assert_eq!(spec::islands("999999"), 1);
-        assert_eq!(spec::islands("many"), 1);
-        assert_eq!(spec::migration("6"), 6);
-        assert_eq!(spec::migration("0"), 4);
-        assert_eq!(spec::migration("junk"), 4);
-        assert_eq!(spec::checkpoint("3"), 3);
-        assert_eq!(spec::checkpoint("0"), 0);
-        assert_eq!(spec::checkpoint("-1"), 0);
-        assert_eq!(spec::checkpoint("nope"), 0);
-        assert_eq!(crate::evaluator::threads_from_spec("4"), 4);
-        assert_eq!(crate::evaluator::threads_from_spec("0"), 1);
-        assert_eq!(crate::evaluator::threads_from_spec("lots"), 1);
     }
 
     #[test]

@@ -45,8 +45,8 @@ mod telemetry;
 pub use channel::MigrationChannel;
 pub use clock::SearchClock;
 pub use evaluator::{
-    evaluation_threads, share_objectives, CacheEntry, Evaluator, Fitness, HwPrNasEvaluator,
-    MeasuredEvaluator, PairEvaluator, ScoreCache, ScoreEvaluator, ScoreFn, SharedObjectives,
+    share_objectives, CacheEntry, Evaluator, Fitness, HwPrNasEvaluator, MeasuredEvaluator,
+    PairEvaluator, ScoreCache, ScoreEvaluator, ScoreFn, SharedObjectives,
 };
 pub use island::{
     ArchiveMember, FitnessKind, IslandConfig, IslandSearch, IslandSearchResult, SearchSnapshot,

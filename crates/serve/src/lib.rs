@@ -15,7 +15,7 @@
 //!   never takes the registry lock);
 //! - [`queue`] — a **work-conserving** admission queue: a free worker
 //!   takes every queued request for the same (model, platform, kind), up
-//!   to `HWPR_SERVE_MAX_BATCH` rows, into one batched SoA forward and
+//!   to `max_batch` rows, into one batched SoA forward and
 //!   never waits for more, so batches grow with the load and a lone
 //!   request pays no coalescing delay; a request of the other kind for
 //!   an identical row list rides the same forward at no extra row cost;
@@ -58,6 +58,8 @@ use std::io;
 pub enum ServeError {
     /// A socket operation failed.
     Io(io::Error),
+    /// A [`ServeConfig`] the server cannot run with.
+    Config(String),
     /// A frame violated the wire protocol.
     Protocol(String),
     /// The server shed the request (queue full or request timeout).
@@ -71,6 +73,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "serve i/o error: {e}"),
+            ServeError::Config(msg) => write!(f, "invalid serve config: {msg}"),
             ServeError::Protocol(msg) => write!(f, "serve protocol error: {msg}"),
             ServeError::Overloaded => write!(f, "server overloaded: request shed"),
             ServeError::Remote(msg) => write!(f, "server rejected request: {msg}"),

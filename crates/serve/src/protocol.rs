@@ -711,7 +711,10 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use hwpr_nasbench::SearchSpaceId;
     use proptest::prelude::*;
+    use rand_chacha::rand_core::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     /// Where `read_frame` says the frame at the start of `bytes` ends:
     /// `Some(consumed)` when it returns a whole frame, else `None`.
@@ -726,6 +729,64 @@ mod proptests {
 
     fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
         collection::vec(0u8..=255, len)
+    }
+
+    /// A valid predict request: kind, id, model and platform names, and
+    /// 1..12 architectures drawn from both spaces.
+    #[derive(Debug)]
+    struct Request {
+        kind: PredictKind,
+        request_id: u64,
+        model: String,
+        platform: String,
+        archs: Vec<Architecture>,
+    }
+
+    impl Request {
+        fn encode(&self) -> Vec<u8> {
+            let mut payload = Vec::new();
+            encode_predict(
+                &mut payload,
+                self.kind,
+                self.request_id,
+                &self.model,
+                &self.platform,
+                &self.archs,
+            );
+            payload
+        }
+    }
+
+    fn name() -> impl Strategy<Value = String> {
+        collection::vec(32u8..127, 0..12).prop_map(|b| String::from_utf8(b).unwrap())
+    }
+
+    fn request() -> impl Strategy<Value = Request> {
+        let archs = (1usize..12, 0u64..1 << 32).prop_map(|(n, seed)| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let spaces = [SearchSpaceId::NasBench201, SearchSpaceId::FBNet];
+            (0..n)
+                .map(|i| Architecture::random(spaces[i % 2], &mut rng))
+                .collect()
+        });
+        (0u8..2, 0u64..u64::MAX, name(), name(), archs).prop_map(
+            |(kind, request_id, model, platform, archs)| Request {
+                kind: [PredictKind::Scores, PredictKind::Objectives][kind as usize],
+                request_id,
+                model,
+                platform,
+                archs,
+            },
+        )
+    }
+
+    /// Decodes `payload` as a request: it may fail, with a
+    /// [`DecodeError`], but must not panic or yield an oversized batch.
+    fn decodes_or_fails_cleanly(payload: &[u8]) -> bool {
+        let mut archs = Vec::new();
+        let ok = decode_request(payload, &mut archs).is_ok();
+        assert!(!ok || archs.len() <= MAX_REQUEST_BATCH);
+        ok
     }
 
     #[test]
@@ -769,6 +830,64 @@ mod proptests {
             raw.extend_from_slice(&tail);
             prop_assert_eq!(buffered_frame_len(&raw), None);
             prop_assert_eq!(read_frame_end(&raw), None);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_as_a_request(opcode in 0u8..5, raw in bytes(0..128)) {
+            decodes_or_fails_cleanly(&raw);
+            // past the version and opcode bytes, so the body decoder runs
+            let mut payload = vec![PROTOCOL_VERSION, opcode];
+            payload.extend_from_slice(&raw);
+            decodes_or_fails_cleanly(&payload);
+        }
+
+        #[test]
+        fn a_single_byte_mutation_of_a_request_decodes_or_fails_cleanly(
+            req in request(),
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let mut payload = req.encode();
+            let at = at % payload.len();
+            payload[at] = byte;
+            decodes_or_fails_cleanly(&payload);
+        }
+
+        #[test]
+        fn a_cut_request_is_an_error(req in request(), cut in 0usize..1 << 16) {
+            let payload = req.encode();
+            prop_assert!(!decodes_or_fails_cleanly(&payload[..cut % payload.len()]));
+        }
+
+        #[test]
+        fn valid_requests_round_trip(req in request()) {
+            let payload = req.encode();
+            let mut archs = Vec::new();
+            let head = decode_request(&payload, &mut archs).unwrap();
+            prop_assert_eq!(head.opcode, req.kind.opcode());
+            prop_assert_eq!(head.request_id, req.request_id);
+            prop_assert_eq!(head.model, req.model.as_str());
+            prop_assert_eq!(head.platform, req.platform.as_str());
+            prop_assert_eq!(archs, req.archs);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_as_a_response(count in 0u16..8, raw in bytes(0..96)) {
+            // a small count reaches the per-item loops; raw bytes mostly do not
+            let mut body = count.to_le_bytes().to_vec();
+            body.extend_from_slice(&raw);
+            for bytes in [&raw, &body] {
+                let _ = decode_response_head(bytes);
+                let mut scores = Vec::new();
+                if decode_scores(bytes, &mut scores).is_ok() {
+                    prop_assert_eq!(2 + 8 * scores.len(), bytes.len());
+                }
+                let mut objectives = Vec::new();
+                if decode_objectives(bytes, &mut objectives).is_ok() {
+                    prop_assert_eq!(2 + 16 * objectives.len(), bytes.len());
+                }
+                let _ = decode_model_list(bytes);
+            }
         }
 
         #[test]

@@ -65,11 +65,20 @@ impl Server {
     }
 
     /// Binds to `addr` and starts serving `registry`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] when `config.workers` is 0, and
+    /// [`ServeError::Io`] when binding or spawning a thread fails.
     pub fn bind(
         addr: &str,
         registry: Arc<ModelRegistry>,
         config: ServeConfig,
     ) -> crate::Result<Self> {
+        if config.workers == 0 {
+            // no worker would ever drain the queue: every request would hang
+            return Err(ServeError::Config("workers must be at least 1".into()));
+        }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let root = hwpr_obs::span("serve.server");
@@ -83,7 +92,7 @@ impl Server {
             ctx,
         });
         let mut workers = Vec::new();
-        for i in 0..config.worker_count() {
+        for i in 0..config.workers {
             let shared = Arc::clone(&shared);
             let worker_config = config.clone();
             workers.push(

@@ -189,3 +189,13 @@ fn stopping_the_server_is_idempotent_and_closes_clients_cleanly() {
         .predict_scores("default", Platform::EdgeGpu, &probe(3))
         .is_err());
 }
+
+#[test]
+fn a_server_without_workers_is_a_config_error() {
+    let config = ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    };
+    let err = Server::start(Arc::new(ModelRegistry::new()), config).unwrap_err();
+    assert!(matches!(err, ServeError::Config(_)), "got: {err}");
+}

@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! cargo run --release --example island_search
-//! HWPR_ISLANDS=8 cargo run --release --example island_search
 //! ```
 
 use hw_pr_nas::core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
@@ -35,8 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(HwPrNasEvaluator::new(Arc::clone(&model), platform)) as Box<dyn Evaluator + Send>
     };
 
-    // 2. Run the island search; HWPR_ISLANDS / HWPR_MIGRATION_EVERY
-    //    override the defaults.
+    // 2. Run the island search.
     let checkpoint = std::env::temp_dir().join("hwpr_island_example_snapshot.json");
     let config = IslandConfig {
         islands: 4,
@@ -48,8 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         checkpoint_path: Some(checkpoint.to_string_lossy().into_owned()),
         ..IslandConfig::small(SearchSpaceId::NasBench201)
     }
-    .with_seed(42)
-    .with_env_overrides();
+    .with_seed(42);
     println!(
         "running {} islands x {} generations (migrate every {}) ...",
         config.islands, config.generations, config.migration_every

@@ -8,8 +8,6 @@
 //!
 //! ```text
 //! cargo run --release --example serve_load
-//! HWPR_SERVE_MAX_BATCH=32 HWPR_SERVE_WORKERS=1 \
-//!     cargo run --release --example serve_load
 //! ```
 //!
 //! The workload is deterministic (seeded architecture population, fixed
@@ -154,8 +152,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let coalesced_config = ServeConfig {
         max_batch: 64,
         ..ServeConfig::default()
-    }
-    .with_env_overrides();
+    };
     let uncoalesced_config = ServeConfig {
         max_batch: 1,
         ..ServeConfig::default()
