@@ -5,13 +5,9 @@
 //!   + parameter rebinding + op recording every chunk.
 //! - `frozen_serial` — the frozen engine (`predict_full`): persistent
 //!   prepacked weights, pooled activation arena, no tape.
-//! - `frozen_parallel` — `predict_full_parallel` over two scoped workers,
-//!   each with its own checked-out arena (pack-free). Only expected to
-//!   beat `frozen_serial` on multi-core hosts; on a single-CPU runner the
-//!   scoped-thread spawn is pure overhead.
 //!
 //! Acceptance: `frozen_serial` at least 1.5x faster per batch than
-//! `tape_serial`; all three paths are bit-identical (differential tests
+//! `tape_serial`; both paths are bit-identical (differential tests
 //! in `hwpr-core`).
 //!
 //! The `frozen_b{B}_f32` rows sweep the compiled batch width (1 / 8 / 64,
@@ -42,13 +38,6 @@ fn bench_inference_throughput(c: &mut Criterion) {
     });
     group.bench_function("frozen_serial", |b| {
         b.iter(|| model.predict_full(&archs, Platform::EdgeGpu).unwrap())
-    });
-    group.bench_function("frozen_parallel", |b| {
-        b.iter(|| {
-            model
-                .predict_full_parallel(&archs, Platform::EdgeGpu, 2)
-                .unwrap()
-        })
     });
     // batch-width sweep: recompile the frozen engine per width, then
     // measure the same 256-arch sweep the rows above use

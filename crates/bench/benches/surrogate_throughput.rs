@@ -1,13 +1,11 @@
-//! Throughput of one MOEA generation's surrogate evaluation: serial vs
-//! `crossbeam`-chunked parallel prediction, and a cold vs warm
-//! cross-generation score cache.
+//! Throughput of one MOEA generation's surrogate evaluation: the bare
+//! fused prediction, and a generation step through the evaluator with a
+//! cold vs warm cross-generation score cache.
 //!
-//! The parallel rows measure the same batch split across 4 worker
-//! threads; on a single-core host they can only match the serial path
-//! (the thread pool adds a little overhead), while on a multi-core host
-//! they scale with the cores. The warm-cache row is the speedup the
-//! cache contributes once a generation's offspring repeat earlier
-//! architectures (mutation rate 0.9 repeats many).
+//! The warm-cache row is the speedup the cache contributes once a
+//! generation's offspring repeat earlier architectures (mutation rate 0.9
+//! repeats many). Row names keep the `serial` suffix so they compare with
+//! the earlier `BENCH_pr*.json` snapshots.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hwpr_bench::fixture_dataset;
@@ -50,26 +48,11 @@ fn bench_surrogate(c: &mut Criterion) {
                 .expect("predict")
         });
     });
-    group.bench_function("predict_full/parallel4", |b| {
-        b.iter(|| {
-            model
-                .predict_full_parallel(&archs, Platform::EdgeGpu, 4)
-                .expect("predict")
-        });
-    });
     // a full generation step through the evaluator, cache cold every
     // iteration (fresh evaluator => fresh private cache)
     group.bench_function("generation_eval/serial_cold", |b| {
         b.iter(|| {
-            let mut eval =
-                HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(1);
-            evaluate_once(&mut eval, &archs);
-        });
-    });
-    group.bench_function("generation_eval/parallel4_cold", |b| {
-        b.iter(|| {
-            let mut eval =
-                HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(4);
+            let mut eval = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu);
             evaluate_once(&mut eval, &archs);
         });
     });
@@ -83,8 +66,7 @@ fn bench_surrogate(c: &mut Criterion) {
     group.bench_function("generation_eval/warm_cache", |b| {
         b.iter(|| {
             let mut eval = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu)
-                .with_shared_cache(Arc::clone(&warm))
-                .with_threads(1);
+                .with_shared_cache(Arc::clone(&warm));
             evaluate_once(&mut eval, &archs);
         });
     });

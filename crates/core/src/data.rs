@@ -289,19 +289,52 @@ impl EncodingCache {
         self.dataset
     }
 
+    /// Checks that `arch` fits this cache's padding: its natural graph
+    /// and token sequence are no longer than the cache's node count and
+    /// sequence length. A single-space cache takes its own space, a
+    /// mixed-space cache both.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Data`] for an architecture from a search
+    /// space the cache was not sized for.
+    pub fn check_fits(&self, arch: &Architecture) -> Result<()> {
+        let seq_len = match arch {
+            Architecture::Nb201(ops) => ops.len(),
+            Architecture::Fbnet(ops) => ops.len(),
+        };
+        let nodes = graph::natural_nodes(arch);
+        if nodes > self.nodes || seq_len > self.seq_len {
+            return Err(CoreError::Data(format!(
+                "{} architecture ({nodes} nodes, {seq_len} tokens) does not fit \
+                 this model's encoding ({} nodes, {} tokens)",
+                arch.space(),
+                self.nodes,
+                self.seq_len
+            )));
+        }
+        Ok(())
+    }
+
     /// The encoding of `arch`, computed on first use.
     ///
     /// Returned behind an [`Arc`] so repeat lookups (every training batch,
     /// every MOEA generation) share one materialised encoding instead of
     /// deep-cloning matrices and token buffers.
-    pub fn encoding(&self, arch: &Architecture) -> Arc<CachedEncoding> {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::check_fits`], which runs only when `arch` is not cached
+    /// yet, so warm lookups pay nothing for it.
+    pub fn encoding(&self, arch: &Architecture) -> Result<Arc<CachedEncoding>> {
         let key = (arch.space(), arch.index());
         if let Some(hit) = self.entries.lock().get(&key) {
-            return Arc::clone(hit);
+            return Ok(Arc::clone(hit));
         }
+        self.check_fits(arch)?;
         let enc = self.build(arch);
         self.entries.lock().insert(key, Arc::clone(&enc));
-        enc
+        Ok(enc)
     }
 
     /// The encodings of a whole batch under **one** cache lock.
@@ -313,7 +346,15 @@ impl EncodingCache {
     /// when `out` keeps its capacity); any miss falls back to the
     /// per-architecture path, which happens at most once per architecture
     /// ever.
-    pub fn encodings_into(&self, archs: &[Architecture], out: &mut Vec<Arc<CachedEncoding>>) {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::encoding`].
+    pub fn encodings_into(
+        &self,
+        archs: &[Architecture],
+        out: &mut Vec<Arc<CachedEncoding>>,
+    ) -> Result<()> {
         out.clear();
         out.reserve(archs.len());
         {
@@ -326,11 +367,14 @@ impl EncodingCache {
             }
         }
         if out.len() == archs.len() {
-            return;
+            return Ok(());
         }
         // cold path: at least one architecture has never been encoded
         out.clear();
-        out.extend(archs.iter().map(|a| self.encoding(a)));
+        for arch in archs {
+            out.push(self.encoding(arch)?);
+        }
+        Ok(())
     }
 
     fn build(&self, arch: &Architecture) -> Arc<CachedEncoding> {
@@ -409,8 +453,8 @@ mod tests {
         let cache = EncodingCache::for_space(SearchSpaceId::NasBench201, Dataset::Cifar10);
         let arch = Architecture::nb201_from_index(11).unwrap();
         assert!(cache.is_empty());
-        let a = cache.encoding(&arch);
-        let b = cache.encoding(&arch);
+        let a = cache.encoding(&arch).unwrap();
+        let b = cache.encoding(&arch).unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.len(), 1);
         assert_eq!(a.tokens.len(), 6);
@@ -422,11 +466,32 @@ mod tests {
     fn mixed_cache_pads_both_spaces() {
         let cache = EncodingCache::for_mixed(Dataset::Cifar100);
         let nb = Architecture::nb201_from_index(0).unwrap();
-        let enc = cache.encoding(&nb);
+        let enc = cache.encoding(&nb).unwrap();
         assert_eq!(enc.graph.node_count(), graph::FBNET_NODES);
         assert_eq!(enc.tokens.len(), tokens::MAX_SEQUENCE_LEN);
         assert_eq!(cache.nodes(), graph::FBNET_NODES);
         assert_eq!(cache.seq_len(), 22);
         assert_eq!(cache.dataset(), Dataset::Cifar100);
+        let fb = Architecture::fbnet_from_index(0).unwrap();
+        assert!(cache.encoding(&fb).is_ok(), "mixed caches take both spaces");
+    }
+
+    #[test]
+    fn foreign_architectures_are_a_data_error() {
+        let cache = EncodingCache::for_space(SearchSpaceId::NasBench201, Dataset::Cifar10);
+        let nb = Architecture::nb201_from_index(3).unwrap();
+        let fb = Architecture::fbnet_from_index(3).unwrap();
+        assert!(matches!(cache.encoding(&fb), Err(CoreError::Data(_))));
+        let mut out = Vec::new();
+        let batch = [nb, fb];
+        assert!(matches!(
+            cache.encodings_into(&batch, &mut out),
+            Err(CoreError::Data(_))
+        ));
+        // the architecture before the foreign one is still encoded
+        assert_eq!(cache.len(), 1);
+        // the smaller NAS-Bench-201 cell pads into an FBNet-sized cache
+        let fb_cache = EncodingCache::for_space(SearchSpaceId::FBNet, Dataset::Cifar10);
+        assert!(fb_cache.check_fits(&batch[0]).is_ok());
     }
 }

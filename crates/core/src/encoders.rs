@@ -160,10 +160,10 @@ impl EncoderSet {
                     "AF encoder needs training architectures to fit its normaliser".into(),
                 ));
             }
-            let rows: Vec<Vec<f32>> = train_archs
-                .iter()
-                .map(|a| cache.encoding(a).af.clone())
-                .collect();
+            let mut rows = Vec::with_capacity(train_archs.len());
+            for arch in train_archs {
+                rows.push(cache.encoding(arch)?.af.clone());
+            }
             output_dim += ARCH_FEATURE_DIM;
             Some(FeatureNormalizer::fit(&rows))
         } else {
@@ -231,7 +231,10 @@ impl EncoderSet {
     ) -> Result<Var> {
         let _ = rng; // encoders are deterministic; rng kept for symmetry
         let batch = archs.len();
-        let encodings: Vec<_> = archs.iter().map(|a| cache.encoding(a)).collect();
+        let mut encodings = Vec::with_capacity(batch);
+        for arch in archs {
+            encodings.push(cache.encoding(arch)?);
+        }
         let mut parts: Vec<Var> = Vec::new();
         if !self.gcn.is_empty() {
             let nodes = cache.nodes();

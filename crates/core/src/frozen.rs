@@ -29,15 +29,17 @@
 //! All activations come from a per-arena [`BufferPool`]; scratch vectors
 //! (adjacency copies, LSTM steps and states, token-id staging) live in the
 //! arena and keep their capacity across calls, so a warmed
-//! [`FrozenModel::predict_scores_into`] loop performs **zero heap
+//! [`HwPrNas::predict_scores_into`] loop performs **zero heap
 //! allocations** (asserted by the `alloc-count` harness in `hwpr-bench`).
-//! Arenas are checked out of a shared pool per call, so concurrent workers
-//! in [`FrozenModel::predict_full_parallel`] each get their own arena
-//! while sharing the packed weights — the parallel path is pack-free.
+//! Every predict call runs one chunk loop
+//! ([`FrozenModel::predict_into_with`]) on the calling thread. Arenas are
+//! checked out of a shared pool per call, so islands on different worker
+//! lanes that share one engine each get their own arena while sharing
+//! the packed weights.
 
 use crate::data::{CachedEncoding, EncodingCache};
 use crate::encoders::EncoderSet;
-use crate::model::{denorm_accuracy, denorm_error, denorm_latency, HwPrNas};
+use crate::model::{denorm_accuracy, denorm_latency, HwPrNas};
 use crate::Result;
 use hwpr_hwmodel::Platform;
 use hwpr_nasbench::features::{FeatureNormalizer, ARCH_FEATURE_DIM};
@@ -122,7 +124,7 @@ struct EncoderScratch {
     graph_agg: Option<Matrix>,
 }
 
-/// One worker's reusable activation storage: a buffer pool plus the
+/// One caller's reusable activation storage: a buffer pool plus the
 /// encoder scratch vectors and the per-chunk encoding list.
 #[derive(Debug, Default)]
 pub struct InferArena {
@@ -304,9 +306,9 @@ pub struct FrozenModel {
     batch: usize,
     /// Prepacked GEMMs per full-batch forward (drives the reuse counter).
     prepacked_gemms: u64,
-    /// Reusable worker arenas; one is checked out per predict call and
-    /// returned afterwards, so repeat calls (and parallel workers) reuse
-    /// warmed buffer pools instead of reallocating.
+    /// Reusable arenas; one is checked out per predict call and returned
+    /// afterwards, so repeat calls (and concurrent callers on other
+    /// threads) reuse warmed buffer pools instead of reallocating.
     arenas: Mutex<Vec<InferArena>>,
 }
 
@@ -365,28 +367,6 @@ impl FrozenModel {
         Ok(())
     }
 
-    fn checkout(&self) -> InferArena {
-        self.arenas.lock().pop().unwrap_or_default()
-    }
-
-    /// Checks a reusable activation arena out of the engine's pool (or
-    /// builds a cold one when the pool is empty).
-    ///
-    /// Arenas hold no model state — only pooled activation buffers and
-    /// scratch vectors — so a caller that owns one outright (the serving
-    /// workers in `hwpr-serve`) can keep it warm across *different*
-    /// engines, including across a hot-swap to a freshly compiled model,
-    /// and drive [`Self::predict_into_with`] allocation-free.
-    pub fn take_arena(&self) -> InferArena {
-        self.checkout()
-    }
-
-    /// Returns an arena taken with [`Self::take_arena`] to the engine's
-    /// pool so later pool-routed predict calls reuse its warmed buffers.
-    pub fn put_arena(&self, arena: InferArena) {
-        self.arenas.lock().push(arena);
-    }
-
     /// One frozen forward over `chunk`, returning pooled
     /// `(score, accuracy, latency)` columns (each `[chunk.len(), 1]`);
     /// the caller returns them to the arena's pool.
@@ -402,7 +382,7 @@ impl FrozenModel {
             encodings,
             scratch,
         } = arena;
-        cache.encodings_into(chunk, encodings);
+        cache.encodings_into(chunk, encodings)?;
         // the staged graph aggregation is chunk-specific: recycle the
         // previous chunk's buffer so the first encoder re-stages
         if let Some(agg) = scratch.graph_agg.take() {
@@ -442,7 +422,8 @@ impl FrozenModel {
     ///
     /// # Errors
     ///
-    /// Returns an error when `slot` is out of range or a forward fails.
+    /// Returns an error when `slot` is out of range, an architecture does
+    /// not fit `cache`, or a forward fails.
     pub fn predict_scores(
         &self,
         cache: &EncodingCache,
@@ -450,39 +431,58 @@ impl FrozenModel {
         slot: usize,
     ) -> Result<Vec<f64>> {
         let mut out = Vec::with_capacity(archs.len());
-        self.predict_scores_into(cache, archs, slot, &mut out)?;
+        self.predict_into(cache, archs, slot, Some(&mut out), None)?;
         Ok(out)
     }
 
-    /// [`Self::predict_scores`] into a caller-held buffer — the
-    /// allocation-free steady-state form the `alloc-count` harness pins.
+    /// Predicted `(accuracy %, latency ms)` pairs.
     ///
     /// # Errors
     ///
-    /// Returns an error when `slot` is out of range or a forward fails.
-    pub fn predict_scores_into(
+    /// Returns an error when `slot` is out of range, an architecture does
+    /// not fit `cache`, or a forward fails.
+    pub fn predict_objectives(
         &self,
         cache: &EncodingCache,
         archs: &[Architecture],
         slot: usize,
-        out: &mut Vec<f64>,
+    ) -> Result<Vec<(f64, f64)>> {
+        let mut out = Vec::with_capacity(archs.len());
+        self.predict_into(cache, archs, slot, None, Some(&mut out))?;
+        Ok(out)
+    }
+
+    /// [`Self::predict_into_with`] against an arena checked out of the
+    /// engine's pool (a cold one when the pool is empty). The arena goes
+    /// back afterwards, so repeat calls — and islands on other lanes
+    /// sharing this engine — reuse its warmed buffers.
+    pub(crate) fn predict_into(
+        &self,
+        cache: &EncodingCache,
+        archs: &[Architecture],
+        slot: usize,
+        scores: Option<&mut Vec<f64>>,
+        objectives: Option<&mut Vec<(f64, f64)>>,
     ) -> Result<()> {
-        let mut arena = self.checkout();
-        let result = self.predict_into_with(cache, archs, slot, Some(out), None, &mut arena);
+        let mut arena = self.arenas.lock().pop().unwrap_or_default();
+        let result = self.predict_into_with(cache, archs, slot, scores, objectives, &mut arena);
         self.arenas.lock().push(arena);
         result
     }
 
-    /// Pareto scores and predicted `(accuracy %, latency ms)` pairs for
-    /// `archs` from one forward pass, appended to whichever of `scores`
-    /// and `objectives` is given, against a caller-owned arena instead of
-    /// the engine's pool. The serving workers call this with both columns
-    /// so a Scores and an Objectives request for the same rows share one
-    /// forward, and keep one warmed arena across model hot-swaps.
+    /// The engine's one inference loop: Pareto scores and predicted
+    /// `(accuracy %, latency ms)` pairs for `archs`, one frozen forward
+    /// per compiled-batch chunk on the calling thread, appended to
+    /// whichever of `scores` and `objectives` is given. Runs against a
+    /// caller-owned arena; the serving workers call this with both
+    /// columns so a Scores and an Objectives request for the same rows
+    /// share one forward, and keep one warmed arena across model
+    /// hot-swaps (arenas hold no model state).
     ///
     /// # Errors
     ///
-    /// Returns an error when `slot` is out of range or a forward fails.
+    /// Returns an error when `slot` is out of range, an architecture does
+    /// not fit `cache`, or a forward fails.
     pub fn predict_into_with(
         &self,
         cache: &EncodingCache,
@@ -527,136 +527,6 @@ impl FrozenModel {
         }
         Ok(())
     }
-
-    /// Scores plus predicted minimisation objectives `[error %, latency
-    /// ms]` in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `slot` is out of range or a forward fails.
-    pub fn predict_full(
-        &self,
-        cache: &EncodingCache,
-        archs: &[Architecture],
-        slot: usize,
-    ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-        self.check_slot(slot)?;
-        let _span = hwpr_obs::span("infer.frozen");
-        let mut arena = self.checkout();
-        let mut scores = Vec::with_capacity(archs.len());
-        let mut objectives = Vec::with_capacity(archs.len());
-        for chunk in archs.chunks(self.batch) {
-            let timer = ChunkTimer::start();
-            let (score, accuracy, latency) = self.forward_chunk(cache, &mut arena, chunk, slot)?;
-            scores.extend(score.as_slice().iter().map(|&v| v as f64));
-            for (&a, &l) in accuracy.as_slice().iter().zip(latency.as_slice()) {
-                objectives.push(vec![
-                    denorm_error(a),
-                    denorm_latency(l, self.max_latency[slot]),
-                ]);
-            }
-            arena.pool.put(score);
-            arena.pool.put(accuracy);
-            arena.pool.put(latency);
-            timer.finish(self.prepacked_gemms, chunk.len());
-        }
-        self.arenas.lock().push(arena);
-        Ok((scores, objectives))
-    }
-
-    /// Predicted `(accuracy %, latency ms)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `slot` is out of range or a forward fails.
-    pub fn predict_objectives(
-        &self,
-        cache: &EncodingCache,
-        archs: &[Architecture],
-        slot: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        let mut out = Vec::with_capacity(archs.len());
-        self.predict_objectives_into(cache, archs, slot, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::predict_objectives`] into a caller-held buffer — the
-    /// allocation-free steady-state form.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `slot` is out of range or a forward fails.
-    pub fn predict_objectives_into(
-        &self,
-        cache: &EncodingCache,
-        archs: &[Architecture],
-        slot: usize,
-        out: &mut Vec<(f64, f64)>,
-    ) -> Result<()> {
-        let mut arena = self.checkout();
-        let result = self.predict_into_with(cache, archs, slot, None, Some(out), &mut arena);
-        self.arenas.lock().push(arena);
-        result
-    }
-
-    /// [`Self::predict_full`] split across scoped worker threads. Each
-    /// worker checks out its own arena while sharing the packed weights,
-    /// so the parallel path never re-packs; results are spliced back in
-    /// input order and are bit-identical to the serial path. Workers get
-    /// batch-rounded chunks, so an input that fits one chunk runs on the
-    /// calling thread with no spawn at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `slot` is out of range or any worker fails.
-    pub fn predict_full_parallel(
-        &self,
-        cache: &EncodingCache,
-        archs: &[Architecture],
-        slot: usize,
-        threads: usize,
-    ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-        self.check_slot(slot)?;
-        // round each worker's share up to the compiled batch width so only
-        // the final worker can see a partial batch (a per-thread remainder
-        // would otherwise cost one underfilled GEMM chunk per worker)
-        let chunk = archs
-            .len()
-            .div_ceil(threads.max(1))
-            .next_multiple_of(self.batch);
-        if chunk >= archs.len() {
-            // one chunk covers the input: a worker would only add a spawn
-            return self.predict_full(cache, archs, slot);
-        }
-        type ChunkResult = Result<(Vec<f64>, Vec<Vec<f64>>)>;
-        // capture the calling thread's span context so worker spans stay in
-        // the caller's trace instead of becoming per-thread orphan roots
-        let ctx = hwpr_obs::current_context();
-        let results: Vec<ChunkResult> = crossbeam::scope(|s| {
-            let handles: Vec<_> = archs
-                .chunks(chunk)
-                .map(|c| {
-                    s.spawn(move |_| {
-                        let _worker = hwpr_obs::span_with_parent("infer.worker", ctx);
-                        self.predict_full(cache, c, slot)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("prediction worker panicked"))
-                .collect()
-        })
-        .expect("prediction scope panicked");
-        let mut scores = Vec::with_capacity(archs.len());
-        let mut objectives = Vec::with_capacity(archs.len());
-        for r in results {
-            let (s, o) = r?;
-            scores.extend(s);
-            objectives.extend(o);
-        }
-        Ok((scores, objectives))
-    }
 }
 
 #[cfg(test)]
@@ -700,7 +570,7 @@ mod tests {
 
         let frozen = FrozenEncoderSet::compile(&enc, &params);
         let mut arena = InferArena::default();
-        let encodings: Vec<_> = archs.iter().map(|a| cache.encoding(a)).collect();
+        let encodings: Vec<_> = archs.iter().map(|a| cache.encoding(a).unwrap()).collect();
         let repr = frozen
             .forward(
                 &mut arena.pool,

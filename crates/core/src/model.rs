@@ -18,13 +18,8 @@ use std::sync::Arc;
 /// and sizes the frozen engine's activation arenas).
 pub(crate) const INFER_BATCH: usize = 256;
 
-/// Denormalises a predicted accuracy into the minimisation objective
-/// `error %` (the model regresses accuracy in `[0, 1]`).
-pub(crate) fn denorm_error(a: f32) -> f64 {
-    (100.0 - a as f64 * 100.0).clamp(0.0, 100.0)
-}
-
-/// Denormalises a predicted accuracy into `accuracy %`.
+/// Denormalises a predicted accuracy into `accuracy %` (the model
+/// regresses accuracy in `[0, 1]`).
 pub(crate) fn denorm_accuracy(a: f32) -> f64 {
     (a as f64 * 100.0).clamp(0.0, 100.0)
 }
@@ -33,6 +28,20 @@ pub(crate) fn denorm_accuracy(a: f32) -> f64 {
 /// set's maximum) back into milliseconds.
 pub(crate) fn denorm_latency(l: f32, max_latency: f64) -> f64 {
     (l as f64 * max_latency).max(0.0)
+}
+
+/// A predicted `(accuracy %, latency ms)` pair.
+type ObjectivePair = (f64, f64);
+
+/// The minimisation objectives `[error %, latency ms]` of predicted
+/// `(accuracy %, latency ms)` pairs. `100 − acc` of the clamped accuracy
+/// equals the clamped `100 − 100·a` bit for bit, so the error column needs
+/// no forward of its own.
+fn error_objectives(pairs: Vec<ObjectivePair>) -> Vec<Vec<f64>> {
+    pairs
+        .into_iter()
+        .map(|(acc, lat)| vec![100.0 - acc, lat])
+        .collect()
 }
 
 /// The trained HW-PR-NAS surrogate.
@@ -264,7 +273,9 @@ impl HwPrNas {
     ///
     /// # Errors
     ///
-    /// Returns an error when the model has no head for `platform`.
+    /// Returns an error when the model has no head for `platform` or an
+    /// architecture does not fit the model's encoding (another search
+    /// space than the one it was trained on).
     pub fn predict_scores(&self, archs: &[Architecture], platform: Platform) -> Result<Vec<f64>> {
         let slot = self.platform_slot(platform)?;
         self.frozen().predict_scores(&self.cache, archs, slot)
@@ -277,7 +288,7 @@ impl HwPrNas {
     ///
     /// # Errors
     ///
-    /// Returns an error when the model has no head for `platform`.
+    /// As [`Self::predict_scores`].
     pub fn predict_scores_into(
         &self,
         archs: &[Architecture],
@@ -286,40 +297,7 @@ impl HwPrNas {
     ) -> Result<()> {
         let slot = self.platform_slot(platform)?;
         self.frozen()
-            .predict_scores_into(&self.cache, archs, slot, out)
-    }
-
-    /// Reference implementation of [`Self::predict_scores`] on the
-    /// recording tape. Kept for differential testing and for callers whose
-    /// parameters are still changing (e.g. per-epoch validation).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the model has no head for `platform`.
-    pub fn predict_scores_tape(
-        &self,
-        archs: &[Architecture],
-        platform: Platform,
-    ) -> Result<Vec<f64>> {
-        let slot = self.platform_slot(platform)?;
-        let mut rng = LayerRng::seed_from_u64(0);
-        let mut out = Vec::with_capacity(archs.len());
-        // one tape for all chunks: reset() recycles buffers between passes
-        let mut tape = Tape::new();
-        let mut bound: Vec<Option<Var>> = Vec::new();
-        for chunk in archs.chunks(INFER_BATCH) {
-            tape.reset();
-            let mut binder = Binder::rebind(&mut tape, &self.params, bound, false);
-            let outputs = self.forward(&mut binder, chunk, slot, &mut rng)?;
-            bound = binder.into_bound();
-            out.extend(
-                tape.value(outputs.score)
-                    .as_slice()
-                    .iter()
-                    .map(|&v| v as f64),
-            );
-        }
-        Ok(out)
+            .predict_into(&self.cache, archs, slot, Some(out), None)
     }
 
     /// Scores and predicted minimisation objectives `[error %, latency
@@ -329,82 +307,23 @@ impl HwPrNas {
     ///
     /// # Errors
     ///
-    /// Returns an error when the model has no head for `platform`.
+    /// As [`Self::predict_scores`].
     pub fn predict_full(
         &self,
         archs: &[Architecture],
         platform: Platform,
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
         let slot = self.platform_slot(platform)?;
-        self.frozen().predict_full(&self.cache, archs, slot)
-    }
-
-    /// Reference implementation of [`Self::predict_full`] on the
-    /// recording tape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the model has no head for `platform`.
-    pub fn predict_full_tape(
-        &self,
-        archs: &[Architecture],
-        platform: Platform,
-    ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-        let slot = self.platform_slot(platform)?;
-        let mut rng = LayerRng::seed_from_u64(0);
         let mut scores = Vec::with_capacity(archs.len());
-        let mut objectives = Vec::with_capacity(archs.len());
-        let mut tape = Tape::new();
-        let mut bound: Vec<Option<Var>> = Vec::new();
-        for chunk in archs.chunks(INFER_BATCH) {
-            tape.reset();
-            let mut binder = Binder::rebind(&mut tape, &self.params, bound, false);
-            let outputs = self.forward(&mut binder, chunk, slot, &mut rng)?;
-            bound = binder.into_bound();
-            scores.extend(
-                tape.value(outputs.score)
-                    .as_slice()
-                    .iter()
-                    .map(|&v| v as f64),
-            );
-            let acc = tape.value(outputs.accuracy);
-            let lat = tape.value(outputs.latency);
-            for (&a, &l) in acc.as_slice().iter().zip(lat.as_slice()) {
-                objectives.push(vec![
-                    denorm_error(a),
-                    denorm_latency(l, self.max_latency[slot]),
-                ]);
-            }
-        }
-        Ok((scores, objectives))
-    }
-
-    /// [`Self::predict_full`] with the batch split across scoped worker
-    /// threads (the MOEA's per-generation hot path).
-    ///
-    /// The input is cut into at most `threads` contiguous chunks, each a
-    /// multiple of the compiled batch width; each worker runs the frozen
-    /// serial predictor on its chunk with its own activation arena
-    /// (checked out from the engine's arena pool, so the parallel path
-    /// never re-packs weights), and the results are spliced back in input
-    /// order. An input that fits one chunk — a search generation's misses
-    /// at the default batch width — runs on the calling thread. Every row of a forward pass is independent and dropout
-    /// is statically elided, so the result is bit-identical to the serial
-    /// path for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the model has no head for `platform` or any
-    /// worker's prediction fails.
-    pub fn predict_full_parallel(
-        &self,
-        archs: &[Architecture],
-        platform: Platform,
-        threads: usize,
-    ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-        let slot = self.platform_slot(platform)?;
-        self.frozen()
-            .predict_full_parallel(&self.cache, archs, slot, threads)
+        let mut pairs = Vec::with_capacity(archs.len());
+        self.frozen().predict_into(
+            &self.cache,
+            archs,
+            slot,
+            Some(&mut scores),
+            Some(&mut pairs),
+        )?;
+        Ok((scores, error_objectives(pairs)))
     }
 
     /// Predicted `(accuracy %, latency ms)` pairs — the branch outputs
@@ -414,7 +333,7 @@ impl HwPrNas {
     ///
     /// # Errors
     ///
-    /// Returns an error when the model has no head for `platform`.
+    /// As [`Self::predict_scores`].
     pub fn predict_objectives(
         &self,
         archs: &[Architecture],
@@ -424,20 +343,70 @@ impl HwPrNas {
         self.frozen().predict_objectives(&self.cache, archs, slot)
     }
 
+    /// Reference implementation of [`Self::predict_scores`] on the
+    /// recording tape. Kept for differential testing and for callers whose
+    /// parameters are still changing (e.g. per-epoch validation).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::predict_scores`].
+    pub fn predict_scores_tape(
+        &self,
+        archs: &[Architecture],
+        platform: Platform,
+    ) -> Result<Vec<f64>> {
+        let mut scores = Vec::with_capacity(archs.len());
+        self.tape_into(archs, platform, Some(&mut scores), None)?;
+        Ok(scores)
+    }
+
+    /// Reference implementation of [`Self::predict_full`] on the
+    /// recording tape.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::predict_scores`].
+    pub fn predict_full_tape(
+        &self,
+        archs: &[Architecture],
+        platform: Platform,
+    ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
+        let mut scores = Vec::with_capacity(archs.len());
+        let mut pairs = Vec::with_capacity(archs.len());
+        self.tape_into(archs, platform, Some(&mut scores), Some(&mut pairs))?;
+        Ok((scores, error_objectives(pairs)))
+    }
+
     /// Reference implementation of [`Self::predict_objectives`] on the
     /// recording tape.
     ///
     /// # Errors
     ///
-    /// Returns an error when the model has no head for `platform`.
+    /// As [`Self::predict_scores`].
     pub fn predict_objectives_tape(
         &self,
         archs: &[Architecture],
         platform: Platform,
     ) -> Result<Vec<(f64, f64)>> {
+        let mut pairs = Vec::with_capacity(archs.len());
+        self.tape_into(archs, platform, None, Some(&mut pairs))?;
+        Ok(pairs)
+    }
+
+    /// The one tape inference loop behind the `predict_*_tape` oracles:
+    /// Pareto scores and `(accuracy %, latency ms)` pairs, one forward per
+    /// [`INFER_BATCH`] chunk, appended to whichever of `scores` and
+    /// `pairs` is given.
+    fn tape_into(
+        &self,
+        archs: &[Architecture],
+        platform: Platform,
+        mut scores: Option<&mut Vec<f64>>,
+        mut pairs: Option<&mut Vec<ObjectivePair>>,
+    ) -> Result<()> {
         let slot = self.platform_slot(platform)?;
         let mut rng = LayerRng::seed_from_u64(0);
-        let mut out = Vec::with_capacity(archs.len());
+        // one tape for all chunks: reset() recycles buffers between passes
         let mut tape = Tape::new();
         let mut bound: Vec<Option<Var>> = Vec::new();
         for chunk in archs.chunks(INFER_BATCH) {
@@ -445,16 +414,26 @@ impl HwPrNas {
             let mut binder = Binder::rebind(&mut tape, &self.params, bound, false);
             let outputs = self.forward(&mut binder, chunk, slot, &mut rng)?;
             bound = binder.into_bound();
-            let acc = tape.value(outputs.accuracy);
-            let lat = tape.value(outputs.latency);
-            for (&a, &l) in acc.as_slice().iter().zip(lat.as_slice()) {
-                out.push((
-                    denorm_accuracy(a),
-                    denorm_latency(l, self.max_latency[slot]),
-                ));
+            if let Some(out) = scores.as_deref_mut() {
+                out.extend(
+                    tape.value(outputs.score)
+                        .as_slice()
+                        .iter()
+                        .map(|&v| v as f64),
+                );
+            }
+            if let Some(out) = pairs.as_deref_mut() {
+                let acc = tape.value(outputs.accuracy);
+                let lat = tape.value(outputs.latency);
+                out.extend(acc.as_slice().iter().zip(lat.as_slice()).map(|(&a, &l)| {
+                    (
+                        denorm_accuracy(a),
+                        denorm_latency(l, self.max_latency[slot]),
+                    )
+                }));
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -506,9 +485,10 @@ mod tests {
 
     #[test]
     fn denorm_helpers_clamp() {
-        assert_eq!(denorm_error(0.95), 100.0 - 0.95f32 as f64 * 100.0);
-        assert_eq!(denorm_error(2.0), 0.0); // accuracy above 100% clamps
-        assert_eq!(denorm_error(-1.0), 100.0);
+        let error = |a| error_objectives(vec![(denorm_accuracy(a), 0.0)])[0][0];
+        assert_eq!(error(0.95), 100.0 - 0.95f32 as f64 * 100.0);
+        assert_eq!(error(2.0), 0.0); // accuracy above 100% clamps
+        assert_eq!(error(-1.0), 100.0);
         assert_eq!(denorm_accuracy(0.5), 50.0);
         assert_eq!(denorm_accuracy(1.5), 100.0);
         assert_eq!(denorm_latency(0.5, 8.0), 4.0);

@@ -279,11 +279,11 @@ impl Predictor {
         scale: f64,
         target_of: &dyn Fn(&crate::data::ArchSample) -> f64,
     ) -> Result<Self> {
-        let rows: Vec<Vec<f32>> = train
+        let rows = train
             .samples()
             .iter()
             .map(|s| tree_features(cache, &s.arch))
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
         let targets: Vec<f32> = train
             .samples()
             .iter()
@@ -312,7 +312,8 @@ impl Predictor {
     ///
     /// # Errors
     ///
-    /// Propagates model failures (cannot occur for well-formed inputs).
+    /// Propagates model failures, and rejects an architecture from another
+    /// search space than the predictor was trained on.
     pub fn predict(&self, archs: &[Architecture]) -> Result<Vec<f64>> {
         match &self.inner {
             PredictorInner::Neural {
@@ -336,10 +337,10 @@ impl Predictor {
                 }
                 Ok(out)
             }
-            PredictorInner::Boosted(model) => Ok(archs
+            PredictorInner::Boosted(model) => archs
                 .iter()
-                .map(|a| model.predict(&tree_features(&self.cache, a)) as f64 * self.scale)
-                .collect()),
+                .map(|a| Ok(model.predict(&tree_features(&self.cache, a)?) as f64 * self.scale))
+                .collect(),
         }
     }
 
@@ -374,15 +375,15 @@ impl Predictor {
 /// indicators (the paper passes the architecture encoding through a dense
 /// layer and concatenates AF; for trees the one-hot encoding is the
 /// equivalent raw form).
-fn tree_features(cache: &EncodingCache, arch: &Architecture) -> Vec<f32> {
-    let enc = cache.encoding(arch);
+fn tree_features(cache: &EncodingCache, arch: &Architecture) -> Result<Vec<f32>> {
+    let enc = cache.encoding(arch)?;
     let mut row = enc.af.clone();
     for &token in &enc.tokens {
         let mut onehot = [0.0f32; tokens::VOCAB_SIZE];
         onehot[token] = 1.0;
         row.extend_from_slice(&onehot);
     }
-    row
+    Ok(row)
 }
 
 /// The caches are configured identically; building a fresh one lets the
@@ -459,7 +460,7 @@ mod tests {
     fn tree_features_have_fixed_dim() {
         let cache = EncodingCache::for_space(SearchSpaceId::NasBench201, Dataset::Cifar10);
         let a = Architecture::nb201_from_index(5).unwrap();
-        let f = tree_features(&cache, &a);
+        let f = tree_features(&cache, &a).unwrap();
         assert_eq!(
             f.len(),
             hwpr_nasbench::features::ARCH_FEATURE_DIM + 6 * tokens::VOCAB_SIZE

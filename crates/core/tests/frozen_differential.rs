@@ -8,7 +8,7 @@
 //! live as unit tests in `hwpr_core::frozen`; here the full compiled
 //! model is exercised end to end.)
 
-use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
+use hwpr_core::{CoreError, HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use proptest::prelude::*;
@@ -133,15 +133,21 @@ fn uneven_final_chunks_stay_within_budget() {
     }
 }
 
+/// `predict_full` derives its error column from the accuracy column the
+/// objectives call returns: `[100 − acc, lat]` bit for bit, across several
+/// chunks at a width that leaves an uneven final chunk.
 #[test]
-fn parallel_path_is_bit_identical_and_pack_free() {
-    let (model, archs) = trained_single();
-    let serial = model.predict_full(&archs, Platform::EdgeGpu).unwrap();
-    for threads in [2usize, 3, 8] {
-        let parallel = model
-            .predict_full_parallel(&archs, Platform::EdgeGpu, threads)
-            .unwrap();
-        assert_eq!(parallel, serial, "{threads} threads diverge from serial");
+fn full_objectives_derive_from_the_objective_pairs_bit_for_bit() {
+    let (model, _) = trained_single();
+    let archs = eval_archs(160);
+    model.freeze_with_batch(37);
+    let (_, full) = model.predict_full(&archs, Platform::EdgeGpu).unwrap();
+    let pairs = model.predict_objectives(&archs, Platform::EdgeGpu).unwrap();
+    assert_eq!(full.len(), pairs.len());
+    for (row, &(acc, lat)) in full.iter().zip(&pairs) {
+        assert_eq!(row.len(), 2);
+        assert_eq!(row[0].to_bits(), (100.0 - acc).to_bits());
+        assert_eq!(row[1].to_bits(), lat.to_bits());
     }
 }
 
@@ -197,7 +203,25 @@ proptest! {
 fn unknown_platform_still_fails_fast() {
     let (model, archs) = trained_single();
     assert!(model.predict_scores(&archs, Platform::Eyeriss).is_err());
-    assert!(model
-        .predict_full_parallel(&archs, Platform::Eyeriss, 4)
-        .is_err());
+    assert!(model.predict_full(&archs, Platform::Eyeriss).is_err());
+}
+
+/// An FBNet architecture sent to a NAS-Bench-201 model is a data error on
+/// the frozen and tape paths alike — not a panic in the graph padding —
+/// and the model keeps answering valid requests afterwards.
+#[test]
+fn foreign_architecture_is_a_data_error() {
+    let (model, archs) = trained_single();
+    let mut batch = archs[..3].to_vec();
+    batch.push(Architecture::fbnet_from_index(7).unwrap());
+    let p = Platform::EdgeGpu;
+    let is_data = |r: Result<(), CoreError>| matches!(r, Err(CoreError::Data(_)));
+    assert!(is_data(model.predict_scores(&batch, p).map(drop)));
+    assert!(is_data(model.predict_objectives(&batch, p).map(drop)));
+    assert!(is_data(model.predict_full(&batch, p).map(drop)));
+    assert!(is_data(model.predict_scores_tape(&batch, p).map(drop)));
+    assert!(is_data(model.predict_objectives_tape(&batch, p).map(drop)));
+    assert!(is_data(model.predict_full_tape(&batch, p).map(drop)));
+    let scores = model.predict_scores(&archs, p).unwrap();
+    assert_eq!(scores.len(), archs.len());
 }

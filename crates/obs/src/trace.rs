@@ -20,7 +20,8 @@
 //! [`crate::SpanContext`]).
 //!
 //! Self time is wall-clock per span: when children run concurrently on
-//! worker threads (e.g. `infer.worker` fan-outs), their summed duration
+//! worker threads (e.g. the `search.island` spans of islands running on
+//! parallel worker lanes under one `search.islands`), their summed duration
 //! can exceed the parent's wall time, in which case the parent's self
 //! time clamps to zero — the tree shows where time is spent, the Chrome
 //! view shows how it overlaps.

@@ -385,20 +385,16 @@ impl ScoreCache {
 /// score and the branch objective predictions (Fig. 3).
 ///
 /// Each call looks every architecture up in a cross-generation
-/// [`ScoreCache`] and sends only the distinct misses to
-/// [`HwPrNas::predict_full_parallel`]. That call runs on the calling
-/// thread when the misses fit one compiled batch (256 rows, which a
-/// generation's offspring always do) and otherwise fans out over
-/// `crossbeam` scoped workers (one per available core unless
-/// [`HwPrNasEvaluator::with_threads`] says otherwise). Results are
+/// [`ScoreCache`] and sends only the distinct misses to one
+/// [`HwPrNas::predict_full`] call on the calling thread. Results are
 /// spliced back in input index order and dropout is inert at inference,
-/// so a seeded search is bit-identical regardless of the thread count.
+/// so a seeded search is bit-identical however its islands are spread
+/// over worker lanes.
 #[derive(Debug)]
 pub struct HwPrNasEvaluator {
     model: Arc<HwPrNas>,
     platform: Platform,
     call_cost_s: f64,
-    threads: usize,
     cache: Arc<ScoreCache>,
 }
 
@@ -416,7 +412,6 @@ impl HwPrNasEvaluator {
             model,
             platform,
             call_cost_s: 0.0,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache: Arc::new(ScoreCache::new()),
         }
     }
@@ -427,12 +422,6 @@ impl HwPrNasEvaluator {
     /// Cache hits skip the serving stack, so they are not charged.
     pub fn with_simulated_call_cost(mut self, seconds: f64) -> Self {
         self.call_cost_s = seconds;
-        self
-    }
-
-    /// Overrides the worker-thread count (`1` forces the serial path).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -482,7 +471,7 @@ impl Evaluator for HwPrNasEvaluator {
                 miss_index.iter().map(|&i| archs[i].clone()).collect();
             let (miss_scores, miss_objs) = self
                 .model
-                .predict_full_parallel(&miss_archs, self.platform, self.threads)
+                .predict_full(&miss_archs, self.platform)
                 .map_err(|e| SearchError::Surrogate(e.to_string()))?;
             let misses = miss_archs.into_iter().zip(miss_scores).zip(miss_objs);
             for (&i, ((arch, score), objs)) in miss_index.iter().zip(misses) {

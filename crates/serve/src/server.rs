@@ -351,8 +351,10 @@ fn handle_frame(
     }
 }
 
-/// Resolves a predict request's model and latency head. An unknown one
-/// is answered with an error here and yields `None`.
+/// Resolves a predict request's model and latency head and checks its
+/// architectures against the model's encoding. An unknown model or head,
+/// or an architecture from another search space, is answered with an
+/// error here and yields `None`.
 fn resolve(
     shared: &Arc<Shared>,
     cache: &mut RegistryCache,
@@ -400,6 +402,17 @@ fn resolve(
         shared.queue.recycle_arch_buf(archs);
         return None;
     };
+    // an architecture from a search space the model does not take fails
+    // here, alone, instead of panicking the worker its batch would reach
+    if let Some(e) = archs.iter().find_map(|a| model.cache().check_fits(a).err()) {
+        if hwpr_obs::enabled() {
+            metrics().errors.inc();
+        }
+        protocol::encode_error_response(reply_buf, head.request_id, STATUS_ERROR, &e.to_string());
+        reply.send(reply_buf);
+        shared.queue.recycle_arch_buf(archs);
+        return None;
+    }
     Some(Pending {
         request_id: head.request_id,
         kind,

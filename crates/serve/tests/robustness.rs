@@ -1,6 +1,6 @@
 //! Failure-path coverage: malformed frames, hostile frame sizes, clients
-//! vanishing mid-request, unknown models/platforms, and explicit
-//! backpressure. The server must answer what it can answer, drop what it
+//! vanishing mid-request, unknown models/platforms, architectures from
+//! another search space, and explicit backpressure. The server must answer what it can answer, drop what it
 //! must drop, and keep serving everyone else.
 
 use hwpr_core::{HwPrNas, ModelConfig, SurrogateDataset, TrainConfig};
@@ -124,6 +124,38 @@ fn client_disconnect_mid_request_does_not_poison_the_worker() {
         .predict_scores("default", Platform::EdgeGpu, &probe(6))
         .unwrap();
     assert_eq!(scores.len(), 6);
+}
+
+#[test]
+fn a_foreign_architecture_fails_alone_and_the_worker_keeps_serving() {
+    // one worker: were the FBNet row to reach it, the graph padding would
+    // panic it and nobody would be answered again
+    let server = started(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let driver = std::thread::spawn(move || {
+        let mut foreign = probe(2);
+        foreign.push(Architecture::fbnet_from_index(5).unwrap());
+        let mut client = ServeClient::connect(addr).unwrap();
+        let rejected = client.predict_scores("default", Platform::EdgeGpu, &foreign);
+        let mut next = ServeClient::connect(addr).unwrap();
+        let answered = next.predict_scores("default", Platform::EdgeGpu, &probe(4));
+        tx.send((rejected, answered)).unwrap();
+    });
+    // read timeout: a request that kills the worker is never answered
+    let (rejected, answered) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("no reply within 20 s");
+    driver.join().expect("client thread");
+    let err = rejected.unwrap_err();
+    assert!(
+        matches!(err, ServeError::Remote(ref m) if m.contains("does not fit")),
+        "{err}"
+    );
+    assert_eq!(answered.unwrap().len(), 4);
 }
 
 #[test]

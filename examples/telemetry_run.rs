@@ -53,9 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Search: each generation emits `search.generation` (hypervolume,
     //    front size, cache hit rate) and a `search.front` point snapshot.
     let cache = Arc::new(ScoreCache::new());
-    let mut evaluator = HwPrNasEvaluator::new(Arc::new(model), platform)
-        .with_threads(2)
-        .with_shared_cache(Arc::clone(&cache));
+    let mut evaluator =
+        HwPrNasEvaluator::new(Arc::new(model), platform).with_shared_cache(Arc::clone(&cache));
     let moea = Moea::new(MoeaConfig {
         population: 24,
         generations: 8,
