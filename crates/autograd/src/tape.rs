@@ -7,7 +7,7 @@
 
 use crate::error::AutogradError;
 use crate::Result;
-use hwpr_tensor::{BufferPool, Matrix, PackedWeight};
+use hwpr_tensor::{BufferPool, Matrix, PackedWeight, ShapeError};
 
 /// Handle to a node on a [`Tape`].
 ///
@@ -385,17 +385,46 @@ impl Tape {
         if shape != (1, 1) {
             return Err(AutogradError::NonScalarLoss { shape });
         }
-        let started = crate::telemetry::backward_start();
         // The unit seed comes from the pool (it is recycled by `reset`), so
         // repeated backward passes never allocate it fresh.
         let mut seed = self.pool.take(1, 1);
         seed.as_mut_slice()[0] = 1.0;
-        self.nodes[loss.0].grad = Some(seed);
-        for i in (0..=loss.0).rev() {
-            if self.nodes[i].grad.is_none() {
-                continue;
+        self.backward_from(loss, seed)
+    }
+
+    /// Runs the backward pass from `out` with `seed` as its incoming
+    /// gradient `dL/d out`: the second half of a graph cut at `out`.
+    ///
+    /// A graph whose sub-graph below `out` is recorded on its own tape
+    /// copies `out`'s value into a leaf of the downstream tape, runs that
+    /// tape's backward first and seeds this one with the leaf's gradient.
+    /// Every node below `out` then receives the same contributions in the
+    /// same order as on one tape, so the gradients match one tape's bit
+    /// for bit: the leaf sums its consumers' contributions exactly as
+    /// `out` would have.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutogradError::Shape`] if `seed` is not shaped like `out`.
+    pub fn backward_seeded(&mut self, out: Var, seed: &Matrix) -> Result<()> {
+        let shape = self.nodes[out.0].value.shape();
+        if seed.shape() != shape {
+            return Err(ShapeError::new("backward_seeded", shape, seed.shape()).into());
+        }
+        let seed = self.pool.take_copy(seed);
+        self.backward_from(out, seed)
+    }
+
+    /// The reverse sweep shared by both entry points: `seed` becomes
+    /// `out`'s gradient, then every earlier node that holds a gradient
+    /// back-propagates it, latest first.
+    fn backward_from(&mut self, out: Var, seed: Matrix) -> Result<()> {
+        let started = crate::telemetry::backward_start();
+        self.nodes[out.0].grad = Some(seed);
+        for i in (0..=out.0).rev() {
+            if self.nodes[i].grad.is_some() {
+                self.backprop_node(i)?;
             }
-            self.backprop_node(i)?;
         }
         if let Some(start) = started {
             crate::telemetry::backward_done(start, self.nodes.len(), self.pool.reuse_ratio());
@@ -520,6 +549,57 @@ mod tests {
         let (l2, g2) = run(&mut t);
         assert_eq!(l1, l2);
         assert_eq!(g1, g2);
+    }
+
+    #[test]
+    fn a_graph_cut_at_a_shared_node_matches_one_tape_bit_for_bit() {
+        let x = Matrix::from_rows(&[&[0.5, -1.25, 2.0], &[0.75, 0.1, -0.3]]);
+        let w = Matrix::from_rows(&[&[0.3, -0.7], &[1.1, 0.2], &[-0.4, 0.9]]);
+        let v = Matrix::from_rows(&[&[0.6], &[-1.3]]);
+        // below the cut: y = tanh(x @ w)
+        let below = |t: &mut Tape| {
+            let (x, w) = (t.leaf_copy(&x), t.leaf_copy(&w));
+            let xw = t.matmul(x, w).unwrap();
+            (x, w, t.tanh(xw))
+        };
+        // above it, y has two consumers: mean(y * y) + sum(y @ v)
+        let above = |t: &mut Tape, y: Var| {
+            let v = t.leaf_copy(&v);
+            let sq = t.mul(y, y).unwrap();
+            let yv = t.matmul(y, v).unwrap();
+            let (a, b) = (t.mean_all(sq), t.sum_all(yv));
+            (v, t.add(a, b).unwrap())
+        };
+        let mut one = Tape::new();
+        let (x1, w1, y1) = below(&mut one);
+        let (v1, loss1) = above(&mut one, y1);
+        one.backward(loss1).unwrap();
+
+        let mut lower = Tape::new();
+        let (x2, w2, y2) = below(&mut lower);
+        let mut upper = Tape::new();
+        let cut = upper.leaf_copy(lower.value(y2));
+        let (v2, loss2) = above(&mut upper, cut);
+        upper.backward(loss2).unwrap();
+        lower.backward_seeded(y2, upper.grad(cut).unwrap()).unwrap();
+
+        let bits = |m: Option<&Matrix>| -> Vec<u32> {
+            m.unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(Some(one.value(loss1))), bits(Some(upper.value(loss2))));
+        assert_eq!(bits(one.grad(y1)), bits(upper.grad(cut)));
+        assert_eq!(bits(one.grad(v1)), bits(upper.grad(v2)));
+        assert_eq!(bits(one.grad(w1)), bits(lower.grad(w2)));
+        assert_eq!(bits(one.grad(x1)), bits(lower.grad(x2)));
+    }
+
+    #[test]
+    fn backward_seeded_rejects_a_misshapen_seed() {
+        let mut t = Tape::new();
+        let v = t.leaf(Matrix::zeros(2, 3));
+        let err = t.backward_seeded(v, &Matrix::zeros(3, 2)).unwrap_err();
+        assert!(matches!(err, AutogradError::Shape(_)), "{err:?}");
+        assert!(t.grad(v).is_none());
     }
 
     #[test]

@@ -7,9 +7,7 @@ use hwpr_core::data::EncodingCache;
 use hwpr_core::encoders::{EncoderChoice, EncoderSet};
 use hwpr_core::ModelConfig;
 use hwpr_nasbench::{Dataset, SearchSpaceId};
-use hwpr_nn::layers::LayerRng;
 use hwpr_nn::{Binder, Params};
-use rand_chacha::rand_core::SeedableRng;
 
 fn bench_encoders(c: &mut Criterion) {
     let archs = fixture_archs(SearchSpaceId::NasBench201, 64);
@@ -34,12 +32,11 @@ fn bench_encoders(c: &mut Criterion) {
                 for a in &archs {
                     let _ = cache.encoding(a);
                 }
-                let mut rng = LayerRng::seed_from_u64(0);
                 b.iter(|| {
                     let mut tape = hwpr_autograd::Tape::new();
                     let mut binder = Binder::new(&mut tape, &params);
                     encoder
-                        .forward(&mut binder, &cache, &archs, &mut rng)
+                        .forward(&mut binder, &cache, &archs)
                         .expect("forward failed");
                     tape.len()
                 });

@@ -7,7 +7,7 @@ use hwpr_autograd::Var;
 use hwpr_nasbench::features::{FeatureNormalizer, ARCH_FEATURE_DIM};
 use hwpr_nasbench::graph::NODE_FEATURE_DIM;
 use hwpr_nasbench::{tokens, Architecture};
-use hwpr_nn::layers::{Embedding, GcnLayer, LayerRng, Lstm};
+use hwpr_nn::layers::{Embedding, GcnLayer, Lstm};
 use hwpr_nn::{Binder, Params};
 use hwpr_tensor::Matrix;
 use std::fmt;
@@ -227,9 +227,7 @@ impl EncoderSet {
         binder: &mut Binder<'_, '_>,
         cache: &EncodingCache,
         archs: &[Architecture],
-        rng: &mut LayerRng,
     ) -> Result<Var> {
-        let _ = rng; // encoders are deterministic; rng kept for symmetry
         let batch = archs.len();
         let mut encodings = Vec::with_capacity(batch);
         for arch in archs {
@@ -324,8 +322,7 @@ mod tests {
         let (params, enc, cache, archs) = setup(choice);
         let mut tape = Tape::new();
         let mut binder = Binder::new(&mut tape, &params);
-        let mut rng = LayerRng::seed_from_u64(0);
-        let out = enc.forward(&mut binder, &cache, &archs, &mut rng).unwrap();
+        let out = enc.forward(&mut binder, &cache, &archs).unwrap();
         let shape = tape.value(out).shape();
         assert_eq!(shape.1, enc.output_dim());
         shape
@@ -384,8 +381,7 @@ mod tests {
         let b = Architecture::nb201_from_index(15_624).unwrap();
         let mut tape = Tape::new();
         let mut binder = Binder::new(&mut tape, &params);
-        let mut rng = LayerRng::seed_from_u64(0);
-        let out = enc.forward(&mut binder, &cache, &[a, b], &mut rng).unwrap();
+        let out = enc.forward(&mut binder, &cache, &[a, b]).unwrap();
         let v = tape.value(out);
         assert_ne!(v.row(0), v.row(1));
     }
@@ -404,8 +400,7 @@ mod tests {
         let (params, enc, cache, archs) = setup(EncoderChoice::ALL);
         let mut tape = Tape::new();
         let mut binder = Binder::for_training(&mut tape, &params);
-        let mut rng = LayerRng::seed_from_u64(1);
-        let out = enc.forward(&mut binder, &cache, &archs, &mut rng).unwrap();
+        let out = enc.forward(&mut binder, &cache, &archs).unwrap();
         let loss = binder.tape().mean_all(out);
         let grads = binder.finish(loss).unwrap();
         let live = grads.iter().filter(|g| g.is_some()).count();

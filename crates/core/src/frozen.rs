@@ -536,7 +536,6 @@ mod tests {
     use crate::encoders::EncoderChoice;
     use hwpr_autograd::Tape;
     use hwpr_nasbench::{Dataset, SearchSpaceId};
-    use hwpr_nn::layers::LayerRng;
     use hwpr_nn::Binder;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -564,8 +563,7 @@ mod tests {
 
         let mut tape = Tape::new();
         let mut binder = Binder::new(&mut tape, &params);
-        let mut rng = LayerRng::seed_from_u64(0);
-        let out = enc.forward(&mut binder, &cache, &archs, &mut rng).unwrap();
+        let out = enc.forward(&mut binder, &cache, &archs).unwrap();
         let expected = tape.value(out).clone();
 
         let frozen = FrozenEncoderSet::compile(&enc, &params);

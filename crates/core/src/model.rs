@@ -10,6 +10,7 @@ use hwpr_hwmodel::Platform;
 use hwpr_nasbench::{Architecture, Dataset};
 use hwpr_nn::layers::{LayerRng, Mlp, MlpConfig};
 use hwpr_nn::{Binder, Params};
+use hwpr_tensor::Matrix;
 use parking_lot::RwLock;
 use rand_chacha::rand_core::SeedableRng;
 use std::sync::Arc;
@@ -59,6 +60,13 @@ pub struct HwPrNas {
     pub(crate) latency_heads: Vec<Mlp>,
     pub(crate) platforms: Vec<Platform>,
     pub(crate) fusion: Mlp,
+    /// Index of the first latency-encoder parameter. The store holds the
+    /// accuracy encoder's parameters, then the latency encoder's, then
+    /// the heads' and the fusion layer's, so each of the three tapes of a
+    /// training pass owns one contiguous range (see [`PassTapes`]).
+    pub(crate) latency_param_start: usize,
+    /// Index of the first head parameter.
+    pub(crate) head_param_start: usize,
     /// Index of the first fusion parameter (everything below is frozen
     /// during the fusion fine-tune phase).
     pub(crate) fusion_param_start: usize,
@@ -70,7 +78,8 @@ pub struct HwPrNas {
     pub(crate) frozen: RwLock<Option<Arc<FrozenModel>>>,
 }
 
-/// The raw branch outputs for one forward pass (still on the tape).
+/// The raw branch outputs for one forward pass (on the pass's main tape).
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct BranchOutputs {
     /// Normalised accuracy prediction, `[batch, 1]`.
     pub accuracy: Var,
@@ -103,6 +112,7 @@ impl HwPrNas {
             &cache,
             train_archs,
         )?;
+        let latency_param_start = params.len();
         let latency_encoder = EncoderSet::new(
             &mut params,
             "lat_enc",
@@ -111,6 +121,7 @@ impl HwPrNas {
             &cache,
             train_archs,
         )?;
+        let head_param_start = params.len();
         let accuracy_head = Mlp::new(
             &mut params,
             "acc_head",
@@ -167,6 +178,8 @@ impl HwPrNas {
             latency_heads,
             platforms,
             fusion,
+            latency_param_start,
+            head_param_start,
             fusion_param_start,
             cache,
             max_latency,
@@ -235,31 +248,76 @@ impl HwPrNas {
             })
     }
 
-    /// One forward pass over a batch (used by training and inference).
-    pub(crate) fn forward(
-        &self,
-        binder: &mut Binder<'_, '_>,
+    /// One forward pass over a batch: the pass behind training, fusion
+    /// fine-tuning and the `predict_*_tape` oracles.
+    ///
+    /// The two encoders share nothing until the fusion layer (Fig. 3), so
+    /// each records on its own tape of `tapes`, concurrently: the accuracy
+    /// encoder on a scoped worker thread, the latency encoder on the
+    /// calling thread. Each encoder's output is copied into the main tape
+    /// as a leaf, and the heads and fusion run there in the one-tape
+    /// order, so dropout draws from `rng` in the same sequence (accuracy
+    /// head, then latency head). The encoders draw nothing.
+    pub(crate) fn forward<'a>(
+        &'a self,
+        tapes: &'a mut PassTapes,
         archs: &[Architecture],
         platform_slot: usize,
         rng: &mut LayerRng,
-    ) -> Result<BranchOutputs> {
-        let acc_repr = self
-            .accuracy_encoder
-            .forward(binder, &self.cache, archs, rng)?;
-        let accuracy = self.accuracy_head.forward(binder, acc_repr, rng)?;
-        let lat_repr = self
-            .latency_encoder
-            .forward(binder, &self.cache, archs, rng)?;
-        let latency = self.latency_heads[platform_slot].forward(binder, lat_repr, rng)?;
+        train: bool,
+    ) -> Result<Pass<'a>> {
+        let PassTapes {
+            main,
+            accuracy,
+            latency,
+        } = tapes;
+        let bind = |tape: &'a mut Tape| {
+            tape.reset();
+            Binder::rebind(tape, &self.params, Vec::new(), train)
+        };
+        let (mut acc_binder, mut lat_binder) = (bind(accuracy), bind(latency));
+        let (acc_out, lat_out) = std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                self.accuracy_encoder
+                    .forward(&mut acc_binder, &self.cache, archs)
+            });
+            let lat = self
+                .latency_encoder
+                .forward(&mut lat_binder, &self.cache, archs);
+            let acc = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (acc, lat)
+        });
+        let (acc_out, lat_out) = (acc_out?, lat_out?);
+        let mut binder = bind(main);
+        let acc_repr = binder.input_copy(acc_binder.tape().value(acc_out));
+        let accuracy = self.accuracy_head.forward(&mut binder, acc_repr, rng)?;
+        let lat_repr = binder.input_copy(lat_binder.tape().value(lat_out));
+        let latency = self.latency_heads[platform_slot].forward(&mut binder, lat_repr, rng)?;
         let both = binder
             .tape()
             .concat_cols(&[accuracy, latency])
             .map_err(hwpr_nn::NnError::from)?;
-        let score = self.fusion.forward(binder, both, rng)?;
-        Ok(BranchOutputs {
-            accuracy,
-            latency,
-            score,
+        let score = self.fusion.forward(&mut binder, both, rng)?;
+        Ok(Pass {
+            model: self,
+            main: binder,
+            accuracy: BranchPass {
+                binder: acc_binder,
+                out: acc_out,
+                leaf: acc_repr,
+            },
+            latency: BranchPass {
+                binder: lat_binder,
+                out: lat_out,
+                leaf: lat_repr,
+            },
+            out: BranchOutputs {
+                accuracy,
+                latency,
+                score,
+            },
         })
     }
 
@@ -406,26 +464,19 @@ impl HwPrNas {
     ) -> Result<()> {
         let slot = self.platform_slot(platform)?;
         let mut rng = LayerRng::seed_from_u64(0);
-        // one tape for all chunks: reset() recycles buffers between passes
-        let mut tape = Tape::new();
-        let mut bound: Vec<Option<Var>> = Vec::new();
+        // one set of tapes for all chunks: each pass recycles their buffers
+        let mut tapes = PassTapes::default();
         for chunk in archs.chunks(INFER_BATCH) {
-            tape.reset();
-            let mut binder = Binder::rebind(&mut tape, &self.params, bound, false);
-            let outputs = self.forward(&mut binder, chunk, slot, &mut rng)?;
-            bound = binder.into_bound();
-            if let Some(out) = scores.as_deref_mut() {
-                out.extend(
-                    tape.value(outputs.score)
-                        .as_slice()
-                        .iter()
-                        .map(|&v| v as f64),
-                );
+            let mut pass = self.forward(&mut tapes, chunk, slot, &mut rng, false)?;
+            let out = pass.out;
+            let tape = &*pass.tape();
+            if let Some(scores) = scores.as_deref_mut() {
+                scores.extend(tape.value(out.score).as_slice().iter().map(|&v| v as f64));
             }
-            if let Some(out) = pairs.as_deref_mut() {
-                let acc = tape.value(outputs.accuracy);
-                let lat = tape.value(outputs.latency);
-                out.extend(acc.as_slice().iter().zip(lat.as_slice()).map(|(&a, &l)| {
+            if let Some(pairs) = pairs.as_deref_mut() {
+                let acc = tape.value(out.accuracy);
+                let lat = tape.value(out.latency);
+                pairs.extend(acc.as_slice().iter().zip(lat.as_slice()).map(|(&a, &l)| {
                     (
                         denorm_accuracy(a),
                         denorm_latency(l, self.max_latency[slot]),
@@ -434,6 +485,103 @@ impl HwPrNas {
             }
         }
         Ok(())
+    }
+}
+
+/// The tapes of a forward/backward pass, reused across passes: the heads,
+/// fusion and losses record on the main tape, each encoder branch on its
+/// own. The parameter store is laid out so that each tape's parameters
+/// form one contiguous range (accuracy encoder, latency encoder, then
+/// heads and fusion), which lets the tapes write one gradient buffer
+/// concurrently.
+#[derive(Debug, Default)]
+pub(crate) struct PassTapes {
+    main: Tape,
+    accuracy: Tape,
+    latency: Tape,
+}
+
+/// One encoder branch of a recorded [`Pass`].
+struct BranchPass<'a> {
+    binder: Binder<'a, 'a>,
+    /// The encoder output on the branch tape.
+    out: Var,
+    /// Its copy on the main tape, where the gradient arrives.
+    leaf: Var,
+}
+
+impl BranchPass<'_> {
+    /// Back-propagates the branch from the gradient its main-tape leaf
+    /// received, writing the branch's parameter range `first..`.
+    fn backward(&mut self, main: &Tape, grads: &mut [Option<Matrix>], first: usize) -> Result<()> {
+        let seed = main
+            .grad(self.leaf)
+            .expect("a branch output feeds its head, so its leaf gets a gradient");
+        Ok(self
+            .binder
+            .finish_range_into(self.out, Some(seed), grads, first)?)
+    }
+}
+
+/// A recorded forward pass over [`PassTapes`], produced by
+/// [`HwPrNas::forward`]. Losses record onto [`Pass::tape`]; a training
+/// pass then ends in [`Pass::backward`] or [`Pass::backward_fusion`].
+pub(crate) struct Pass<'a> {
+    model: &'a HwPrNas,
+    main: Binder<'a, 'a>,
+    accuracy: BranchPass<'a>,
+    latency: BranchPass<'a>,
+    /// The heads' and the fusion layer's outputs on the main tape.
+    pub(crate) out: BranchOutputs,
+}
+
+impl Pass<'_> {
+    /// The main tape, where the losses record.
+    pub(crate) fn tape(&mut self) -> &mut Tape {
+        self.main.tape()
+    }
+
+    /// The joint step's backward pass: the main tape from `loss` first,
+    /// then both encoder tapes concurrently (the accuracy branch on a
+    /// scoped worker thread) from the gradients at their leaves. Every
+    /// parameter's gradient lands in `grads` (sized to the store), each
+    /// tape writing its own range.
+    ///
+    /// Bit-identical to one tape: a branch output's only consumer is its
+    /// head, so the leaf receives exactly the gradient the output would
+    /// have, and within a branch nothing is reordered.
+    pub(crate) fn backward(mut self, loss: Var, grads: &mut Vec<Option<Matrix>>) -> Result<()> {
+        let model = self.model;
+        grads.resize_with(model.params.len(), || None);
+        let (encoders, heads) = grads.split_at_mut(model.head_param_start);
+        let (acc_grads, lat_grads) = encoders.split_at_mut(model.latency_param_start);
+        self.main
+            .finish_range_into(loss, None, heads, model.head_param_start)?;
+        let main = &*self.main.tape();
+        let (accuracy, latency) = (&mut self.accuracy, &mut self.latency);
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| accuracy.backward(main, acc_grads, 0));
+            let lat = latency.backward(main, lat_grads, model.latency_param_start);
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                .and(lat)
+        })
+    }
+
+    /// The fusion fine-tune's backward pass (§IV-A): the main tape alone,
+    /// writing the fusion layer's gradients and `None` for every other
+    /// parameter, so the frozen branches cost no backward work.
+    pub(crate) fn backward_fusion(
+        mut self,
+        loss: Var,
+        grads: &mut Vec<Option<Matrix>>,
+    ) -> Result<()> {
+        let start = self.model.fusion_param_start;
+        grads.resize_with(self.model.params.len(), || None);
+        let (frozen, fusion) = grads.split_at_mut(start);
+        frozen.fill_with(|| None);
+        Ok(self.main.finish_range_into(loss, None, fusion, start)?)
     }
 }
 

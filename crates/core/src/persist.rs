@@ -541,6 +541,29 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_document_is_a_typed_error() {
+        let (model, _) = micro();
+        let json = model.to_json().unwrap();
+        // one value nested far past the parser's recursion limit
+        let (open, close) = ("[".repeat(200_000), "]".repeat(200_000));
+        let hostile = json.replacen("\"version\":1", &format!("\"version\":{open}1{close}"), 1);
+        assert_ne!(hostile, json);
+        assert!(matches!(
+            HwPrNas::from_json(&hostile),
+            Err(CoreError::Data(_))
+        ));
+        let dir = std::env::temp_dir().join(format!("hwpr_persist_nested_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        std::fs::write(&path, &open).unwrap();
+        assert!(matches!(
+            read_json_file::<Vec<u32>>(&path),
+            Err(CoreError::Data(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn sizes_the_document_does_not_back_are_rejected_before_building() {
         let (model, _) = micro();
         const HUGE: usize = 1 << 40;

@@ -240,7 +240,7 @@ impl Predictor {
                     .collect();
                 let mut tape = Tape::new();
                 let mut binder = Binder::for_training(&mut tape, &params);
-                let repr = encoder.forward(&mut binder, cache, &archs, &mut rng)?;
+                let repr = encoder.forward(&mut binder, cache, &archs)?;
                 let pred = head.forward(&mut binder, repr, &mut rng)?;
                 let tape_ref = binder.tape();
                 let mse = tape_ref.mse_loss(pred, &target_col)?;
@@ -326,7 +326,7 @@ impl Predictor {
                 for chunk in archs.chunks(crate::model::INFER_BATCH) {
                     let mut tape = Tape::new();
                     let mut binder = Binder::new(&mut tape, params);
-                    let repr = encoder.forward(&mut binder, &self.cache, chunk, &mut rng)?;
+                    let repr = encoder.forward(&mut binder, &self.cache, chunk)?;
                     let pred = head.forward(&mut binder, repr, &mut rng)?;
                     out.extend(
                         tape.value(pred)

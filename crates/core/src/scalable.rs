@@ -120,9 +120,7 @@ impl ScalableHwPrNas {
         for chunk in archs.chunks(crate::model::INFER_BATCH) {
             let mut tape = Tape::new();
             let mut binder = Binder::new(&mut tape, &self.params);
-            let repr = self
-                .encoder
-                .forward(&mut binder, &self.cache, chunk, &mut rng)?;
+            let repr = self.encoder.forward(&mut binder, &self.cache, chunk)?;
             let score = self.head.forward(&mut binder, repr, &mut rng)?;
             out.extend(tape.value(score).as_slice().iter().map(|&v| v as f64));
         }
@@ -170,9 +168,7 @@ impl ScalableHwPrNas {
                 order.sort_by_key(|&i| ranks[i]);
                 let mut tape = Tape::new();
                 let mut binder = Binder::for_training(&mut tape, &self.params);
-                let repr = self
-                    .encoder
-                    .forward(&mut binder, &self.cache, &archs, &mut rng)?;
+                let repr = self.encoder.forward(&mut binder, &self.cache, &archs)?;
                 let score = self.head.forward(&mut binder, repr, &mut rng)?;
                 let tape_ref = binder.tape();
                 let loss = tape_ref.list_mle(score, &order)?;

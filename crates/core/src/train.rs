@@ -1,17 +1,31 @@
 //! The Pareto ranking training loop (§III-A, Table II).
+//!
+//! A step runs on two cores. The accuracy branch (GCN+AF encoder) and the
+//! latency branch (LSTM+AF encoder) share nothing until the fusion layer
+//! (Fig. 3), so `HwPrNas::forward` records each encoder on its own tape,
+//! the accuracy encoder on a scoped worker thread and the latency encoder
+//! on the calling thread. The heads, the fusion layer and the losses
+//! record on a main tape, where each encoder's output enters as a leaf.
+//! The joint step back-propagates the main tape, then both encoder tapes
+//! concurrently, each seeded with the gradient at its leaf and writing its
+//! own range of the one gradient buffer. The gradients are bit-identical
+//! to one tape's: a branch output has a single consumer (its head), so the
+//! leaf receives exactly the gradient the output would have, and nothing
+//! inside a branch is reordered. The fusion fine-tune (§IV-A) trains only
+//! the fusion layer and back-propagates only the main tape.
 
 use crate::config::{ModelConfig, TrainConfig};
-use crate::data::{EncodingCache, SurrogateDataset};
-use crate::model::HwPrNas;
+use crate::data::{ArchSample, EncodingCache, SurrogateDataset};
+use crate::model::{BranchOutputs, HwPrNas, PassTapes};
 use crate::Result;
-use hwpr_autograd::Tape;
+use hwpr_autograd::{Tape, Var};
 use hwpr_hwmodel::{BenchEntry, Platform};
 use hwpr_moo::MooWorkspace;
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_nn::batch::shuffled_batches;
 use hwpr_nn::layers::LayerRng;
 use hwpr_nn::optim::{AdamW, CosineAnnealing, EarlyStopping, Optimizer};
-use hwpr_nn::{Binder, Params};
+use hwpr_nn::Params;
 use hwpr_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
@@ -33,12 +47,12 @@ pub struct TrainReport {
 /// a front make top-k selection cover the whole front).
 fn tie_variance_loss(
     tape_ref: &mut Tape,
-    score: hwpr_autograd::Var,
+    score: Var,
     ranks: &[usize],
     group: &mut Vec<usize>,
-) -> Result<Option<hwpr_autograd::Var>> {
+) -> Result<Option<Var>> {
     let max_rank = ranks.iter().copied().max().unwrap_or(0);
-    let mut terms: Option<hwpr_autograd::Var> = None;
+    let mut terms: Option<Var> = None;
     for rank in 0..=max_rank {
         group.clear();
         group.extend((0..ranks.len()).filter(|&i| ranks[i] == rank));
@@ -190,6 +204,145 @@ impl HwPrNas {
     }
 }
 
+/// One batch staged for a step, in buffers reused across batches: in
+/// steady state (fixed batch size) staging allocates nothing.
+#[derive(Debug, Default)]
+struct Batch {
+    archs: Vec<Architecture>,
+    /// Global Pareto ranks of the batch's rows.
+    ranks: Vec<usize>,
+    /// Batch positions best rank first, ties shuffled: the listwise target.
+    order: Vec<usize>,
+    /// Accuracy targets, normalised to `[0, 1]`.
+    acc_targets: Vec<f32>,
+    /// Latency targets, relative to the training set's maximum.
+    lat_targets: Vec<f32>,
+    /// Scratch for the tie regulariser's rank groups.
+    group: Vec<usize>,
+}
+
+impl Batch {
+    /// Stages rows `indices` of `samples`; draws the within-rank shuffle
+    /// of the listwise order from `rng`.
+    fn stage(
+        &mut self,
+        samples: &[ArchSample],
+        indices: &[usize],
+        global_ranks: &[usize],
+        max_latency: f64,
+        rng: &mut LayerRng,
+    ) {
+        self.archs.clear();
+        self.archs
+            .extend(indices.iter().map(|&i| samples[i].arch.clone()));
+        self.ranks.clear();
+        self.ranks.extend(indices.iter().map(|&i| global_ranks[i]));
+        rank_order_into(&self.ranks, rng, &mut self.order);
+        self.acc_targets.clear();
+        self.acc_targets.extend(
+            indices
+                .iter()
+                .map(|&i| (samples[i].accuracy / 100.0) as f32),
+        );
+        self.lat_targets.clear();
+        self.lat_targets.extend(
+            indices
+                .iter()
+                .map(|&i| (samples[i].latency_ms / max_latency) as f32),
+        );
+    }
+
+    fn len(&self) -> usize {
+        self.archs.len()
+    }
+}
+
+/// The listwise ranking loss: ListMLE over the batch's rank order,
+/// scaled by `weight / batch size` so batches of different sizes weigh
+/// equally, plus the tie regulariser.
+fn ranking_loss(
+    tape: &mut Tape,
+    score: Var,
+    batch: &mut Batch,
+    weight: f32,
+    config: &TrainConfig,
+) -> Result<Var> {
+    let loss = tape.list_mle(score, &batch.order)?;
+    let mut loss = tape.scale(loss, weight / batch.len() as f32);
+    if config.tie_regularizer_weight > 0.0 {
+        if let Some(var) = tie_variance_loss(tape, score, &batch.ranks, &mut batch.group)? {
+            let var = tape.scale(var, config.tie_regularizer_weight);
+            loss = tape.add(loss, var)?;
+        }
+    }
+    Ok(loss)
+}
+
+/// The joint loss of §III-A: the ranking loss plus the RMSE of each
+/// branch against its target.
+fn joint_loss(
+    tape: &mut Tape,
+    out: &BranchOutputs,
+    batch: &mut Batch,
+    config: &TrainConfig,
+) -> Result<Var> {
+    let rank_loss = ranking_loss(tape, out.score, batch, config.rank_loss_weight, config)?;
+    // regression targets live in pooled tape storage, recycled below
+    let mut acc_targets = tape.alloc(batch.len(), 1);
+    acc_targets
+        .as_mut_slice()
+        .copy_from_slice(&batch.acc_targets);
+    let mut lat_targets = tape.alloc(batch.len(), 1);
+    lat_targets
+        .as_mut_slice()
+        .copy_from_slice(&batch.lat_targets);
+    let acc_mse = tape.mse_loss(out.accuracy, &acc_targets)?;
+    let acc_rmse = tape.sqrt(acc_mse, 1e-9);
+    let lat_mse = tape.mse_loss(out.latency, &lat_targets)?;
+    let lat_rmse = tape.sqrt(lat_mse, 1e-9);
+    tape.recycle(acc_targets);
+    tape.recycle(lat_targets);
+    let rmse_sum = tape.add(acc_rmse, lat_rmse)?;
+    let rmse_term = tape.scale(rmse_sum, config.rmse_loss_weight);
+    Ok(tape.add(rank_loss, rmse_term)?)
+}
+
+/// One joint step's forward and backward: every parameter's gradient
+/// into `grads`; returns the loss.
+fn joint_step(
+    model: &HwPrNas,
+    tapes: &mut PassTapes,
+    batch: &mut Batch,
+    slot: usize,
+    config: &TrainConfig,
+    rng: &mut LayerRng,
+    grads: &mut Vec<Option<Matrix>>,
+) -> Result<f32> {
+    let mut pass = model.forward(tapes, &batch.archs, slot, rng, true)?;
+    let out = pass.out;
+    let loss = joint_loss(pass.tape(), &out, batch, config)?;
+    let value = pass.tape().value(loss)[(0, 0)];
+    pass.backward(loss, grads)?;
+    Ok(value)
+}
+
+/// One fusion fine-tune step (§IV-A): the ranking loss alone, with only
+/// the fusion layer's gradients written (every other slot `None`).
+fn fusion_step(
+    model: &HwPrNas,
+    tapes: &mut PassTapes,
+    batch: &mut Batch,
+    slot: usize,
+    config: &TrainConfig,
+    rng: &mut LayerRng,
+    grads: &mut Vec<Option<Matrix>>,
+) -> Result<()> {
+    let mut pass = model.forward(tapes, &batch.archs, slot, rng, true)?;
+    let score = pass.out.score;
+    let loss = ranking_loss(pass.tape(), score, batch, 1.0, config)?;
+    pass.backward_fusion(loss, grads)
+}
+
 /// Runs the epoch loop for whichever platform `train` targets.
 fn train_loop(
     model: &mut HwPrNas,
@@ -218,16 +371,11 @@ fn train_loop(
     let mut final_loss = f64::INFINITY;
     let mut epochs_run = 0;
     let mut best_tau = -1.0f64;
-    // training arena: one tape plus staging buffers, allocated once and
-    // reused every batch — in steady state (fixed batch size) a step
-    // performs no heap allocation
-    let mut tape = Tape::new();
-    let mut bound: Vec<Option<hwpr_autograd::Var>> = Vec::new();
+    // training arena: the pass's tapes, the gradient buffer and the batch
+    // staging buffers, allocated once and reused every batch
+    let mut tapes = PassTapes::default();
     let mut grads: Vec<Option<Matrix>> = Vec::new();
-    let mut batch_archs: Vec<Architecture> = Vec::with_capacity(config.batch_size);
-    let mut batch_ranks: Vec<usize> = Vec::with_capacity(config.batch_size);
-    let mut order: Vec<usize> = Vec::with_capacity(config.batch_size);
-    let mut group: Vec<usize> = Vec::with_capacity(config.batch_size);
+    let mut batch = Batch::default();
     let _train_span = hwpr_obs::span("train.loop");
     for epoch in 0..config.epochs {
         let epoch_started = hwpr_obs::enabled().then(std::time::Instant::now);
@@ -239,52 +387,15 @@ fn train_loop(
             config.seed.wrapping_add(epoch as u64),
         );
         let mut epoch_loss = 0.0f64;
-        for batch in &batches {
-            if batch.len() < 2 {
+        for indices in &batches {
+            if indices.len() < 2 {
                 continue;
             }
-            batch_archs.clear();
-            batch_archs.extend(batch.iter().map(|&i| samples[i].arch.clone()));
-            batch_ranks.clear();
-            batch_ranks.extend(batch.iter().map(|&i| global_ranks[i]));
-            rank_order_into(&batch_ranks, &mut rng, &mut order);
-            tape.reset();
-            let mut binder =
-                Binder::rebind(&mut tape, &model.params, std::mem::take(&mut bound), true);
-            let out = model.forward(&mut binder, &batch_archs, slot, &mut rng)?;
-            let tape_ref = binder.tape();
-            let rank_loss = tape_ref.list_mle(out.score, &order)?;
-            // normalise the listwise loss by the batch size so batches of
-            // different sizes weigh equally
-            let mut rank_loss =
-                tape_ref.scale(rank_loss, config.rank_loss_weight / batch.len() as f32);
-            if config.tie_regularizer_weight > 0.0 {
-                if let Some(var) = tie_variance_loss(tape_ref, out.score, &batch_ranks, &mut group)?
-                {
-                    let var = tape_ref.scale(var, config.tie_regularizer_weight);
-                    rank_loss = tape_ref.add(rank_loss, var)?;
-                }
-            }
-            // regression targets live in pooled tape storage, recycled below
-            let mut acc_targets = tape_ref.alloc(batch.len(), 1);
-            for (dst, &i) in acc_targets.as_mut_slice().iter_mut().zip(batch) {
-                *dst = (samples[i].accuracy / 100.0) as f32;
-            }
-            let mut lat_targets = tape_ref.alloc(batch.len(), 1);
-            for (dst, &i) in lat_targets.as_mut_slice().iter_mut().zip(batch) {
-                *dst = (samples[i].latency_ms / max_lat) as f32;
-            }
-            let acc_mse = tape_ref.mse_loss(out.accuracy, &acc_targets)?;
-            let acc_rmse = tape_ref.sqrt(acc_mse, 1e-9);
-            let lat_mse = tape_ref.mse_loss(out.latency, &lat_targets)?;
-            let lat_rmse = tape_ref.sqrt(lat_mse, 1e-9);
-            tape_ref.recycle(acc_targets);
-            tape_ref.recycle(lat_targets);
-            let rmse_sum = tape_ref.add(acc_rmse, lat_rmse)?;
-            let rmse_term = tape_ref.scale(rmse_sum, config.rmse_loss_weight);
-            let loss = tape_ref.add(rank_loss, rmse_term)?;
-            epoch_loss += tape_ref.value(loss)[(0, 0)] as f64;
-            bound = binder.finish_into(loss, &mut grads)?;
+            batch.stage(samples, indices, &global_ranks, max_lat, &mut rng);
+            let loss = joint_step(
+                model, &mut tapes, &mut batch, slot, config, &mut rng, &mut grads,
+            )?;
+            epoch_loss += loss as f64;
             optimizer.step(&mut model.params, &grads);
         }
         epochs_run = epoch + 1;
@@ -320,34 +431,14 @@ fn train_loop(
                 config.batch_size,
                 config.seed.wrapping_add(10_000 + epoch as u64),
             );
-            for batch in &batches {
-                if batch.len() < 2 {
+            for indices in &batches {
+                if indices.len() < 2 {
                     continue;
                 }
-                batch_archs.clear();
-                batch_archs.extend(batch.iter().map(|&i| samples[i].arch.clone()));
-                batch_ranks.clear();
-                batch_ranks.extend(batch.iter().map(|&i| global_ranks[i]));
-                rank_order_into(&batch_ranks, &mut rng, &mut order);
-                tape.reset();
-                let mut binder =
-                    Binder::rebind(&mut tape, &model.params, std::mem::take(&mut bound), true);
-                let out = model.forward(&mut binder, &batch_archs, slot, &mut rng)?;
-                let tape_ref = binder.tape();
-                let mut loss = tape_ref.list_mle(out.score, &order)?;
-                loss = tape_ref.scale(loss, 1.0 / batch.len() as f32);
-                if config.tie_regularizer_weight > 0.0 {
-                    if let Some(var) =
-                        tie_variance_loss(tape_ref, out.score, &batch_ranks, &mut group)?
-                    {
-                        let var = tape_ref.scale(var, config.tie_regularizer_weight);
-                        loss = tape_ref.add(loss, var)?;
-                    }
-                }
-                bound = binder.finish_into(loss, &mut grads)?;
-                for g in grads.iter_mut().take(model.fusion_param_start) {
-                    *g = None;
-                }
+                batch.stage(samples, indices, &global_ranks, max_lat, &mut rng);
+                fusion_step(
+                    model, &mut tapes, &mut batch, slot, config, &mut rng, &mut grads,
+                )?;
                 fusion_opt.step(&mut model.params, &grads);
             }
         }
@@ -409,6 +500,8 @@ mod tests {
     use super::*;
     use crate::data::SurrogateDataset;
     use hwpr_hwmodel::{SimBench, SimBenchConfig};
+    use hwpr_nn::Binder;
+    use rand::RngCore;
 
     fn bench(n: usize) -> SimBench {
         SimBench::generate(SimBenchConfig {
@@ -440,6 +533,159 @@ mod tests {
             report.val_rank_tau > 0.2,
             "surrogate failed to learn: tau {}",
             report.val_rank_tau
+        );
+    }
+
+    /// A model over both search spaces with dropout on, and one staged
+    /// batch that interleaves NAS-Bench-201 and FBNet rows.
+    fn mixed_model_and_batch() -> (HwPrNas, Batch) {
+        let fbnet = SimBench::generate(SimBenchConfig {
+            space: SearchSpaceId::FBNet,
+            sample_size: Some(24),
+            seed: 5,
+        });
+        let mut entries = bench(24).entries().to_vec();
+        entries.extend_from_slice(fbnet.entries());
+        let data =
+            SurrogateDataset::from_entries(&entries, Dataset::Cifar10, Platform::Pixel3).unwrap();
+        let mut model_config = ModelConfig::tiny();
+        model_config.dropout = 0.25;
+        let archs: Vec<Architecture> = data.samples().iter().map(|s| s.arch.clone()).collect();
+        let max_latency = data.max_latency();
+        let model = HwPrNas::build(
+            Params::new(),
+            &model_config,
+            EncodingCache::for_mixed(Dataset::Cifar10),
+            &archs,
+            vec![Platform::Pixel3],
+            vec![max_latency],
+            Dataset::Cifar10,
+        )
+        .unwrap();
+        let objectives: Vec<Vec<f64>> = data.samples().iter().map(|s| s.objectives()).collect();
+        let ranks = MooWorkspace::new()
+            .pareto_ranks(&objectives)
+            .unwrap()
+            .to_vec();
+        let indices: Vec<usize> = (0..10).flat_map(|i| [i, 24 + i]).collect();
+        let mut batch = Batch::default();
+        let mut rng = LayerRng::seed_from_u64(1);
+        batch.stage(data.samples(), &indices, &ranks, max_latency, &mut rng);
+        (model, batch)
+    }
+
+    /// The one-tape oracle: both encoders, heads, fusion and loss on one
+    /// tape, as the trainer recorded them before the branches split.
+    fn one_tape_step(
+        model: &HwPrNas,
+        batch: &mut Batch,
+        config: &TrainConfig,
+        rng: &mut LayerRng,
+        fusion_only: bool,
+    ) -> (f32, Vec<Option<Matrix>>) {
+        let mut tape = Tape::new();
+        let mut binder = Binder::for_training(&mut tape, &model.params);
+        let (archs, cache) = (&batch.archs, &model.cache);
+        let acc_repr = model
+            .accuracy_encoder
+            .forward(&mut binder, cache, archs)
+            .unwrap();
+        let accuracy = model
+            .accuracy_head
+            .forward(&mut binder, acc_repr, rng)
+            .unwrap();
+        let lat_repr = model
+            .latency_encoder
+            .forward(&mut binder, cache, archs)
+            .unwrap();
+        let latency = model.latency_heads[0]
+            .forward(&mut binder, lat_repr, rng)
+            .unwrap();
+        let both = binder.tape().concat_cols(&[accuracy, latency]).unwrap();
+        let score = model.fusion.forward(&mut binder, both, rng).unwrap();
+        let out = BranchOutputs {
+            accuracy,
+            latency,
+            score,
+        };
+        let loss = if fusion_only {
+            ranking_loss(binder.tape(), score, batch, 1.0, config).unwrap()
+        } else {
+            joint_loss(binder.tape(), &out, batch, config).unwrap()
+        };
+        let value = binder.tape().value(loss)[(0, 0)];
+        let mut grads = binder.finish(loss).unwrap();
+        if fusion_only {
+            grads[..model.fusion_param_start].fill_with(|| None);
+        }
+        (value, grads)
+    }
+
+    fn bits(m: &Option<Matrix>) -> Option<Vec<u32>> {
+        m.as_ref()
+            .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn split_step_matches_the_single_tape_step_bit_for_bit() {
+        let (model, mut batch) = mixed_model_and_batch();
+        let config = TrainConfig::tiny();
+        let mut tapes = PassTapes::default();
+        let mut grads = Vec::new();
+        for fusion_only in [false, true] {
+            let mut oracle_rng = LayerRng::seed_from_u64(9);
+            let (expected_loss, expected) =
+                one_tape_step(&model, &mut batch, &config, &mut oracle_rng, fusion_only);
+            let mut rng = LayerRng::seed_from_u64(9);
+            if fusion_only {
+                fusion_step(
+                    &model, &mut tapes, &mut batch, 0, &config, &mut rng, &mut grads,
+                )
+                .unwrap();
+            } else {
+                let loss = joint_step(
+                    &model, &mut tapes, &mut batch, 0, &config, &mut rng, &mut grads,
+                )
+                .unwrap();
+                assert_eq!(loss.to_bits(), expected_loss.to_bits());
+            }
+            // dropout drew the same masks in the same order
+            assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+            assert_eq!(grads.len(), model.params.len());
+            for (i, (got, want)) in grads.iter().zip(&expected).enumerate() {
+                let name = model.params.name(model.params.id_at(i));
+                assert_eq!(bits(got), bits(want), "{name} (fine-tune: {fusion_only})");
+                let trained = !fusion_only || i >= model.fusion_param_start;
+                assert_eq!(got.is_some(), trained, "{name} (fine-tune: {fusion_only})");
+            }
+        }
+    }
+
+    #[test]
+    fn fusion_finetune_leaves_every_other_parameter_bit_unchanged() {
+        let b = bench(48);
+        let data =
+            SurrogateDataset::from_simbench(&b, Dataset::Cifar10, Platform::EdgeGpu).unwrap();
+        let mut model_config = ModelConfig::tiny();
+        model_config.dropout = 0.25;
+        let mut cfg = TrainConfig::tiny();
+        cfg.fusion_finetune_epochs = 0;
+        let (before, _) = HwPrNas::fit(&data, &model_config, &cfg).unwrap();
+        cfg.fusion_finetune_epochs = 2;
+        let (after, _) = HwPrNas::fit(&data, &model_config, &cfg).unwrap();
+        let values = |m: &HwPrNas| -> Vec<Option<Vec<u32>>> {
+            m.params
+                .iter()
+                .map(|(_, _, v)| bits(&Some(v.clone())))
+                .collect()
+        };
+        let (before_bits, after_bits) = (values(&before), values(&after));
+        let start = after.fusion_param_start;
+        assert_eq!(before_bits[..start], after_bits[..start]);
+        assert_ne!(
+            before_bits[start..],
+            after_bits[start..],
+            "the fine-tune must train the fusion layer"
         );
     }
 

@@ -278,13 +278,47 @@ impl<'t, 'p> Binder<'t, 'p> {
     ///
     /// Propagates [`hwpr_autograd::AutogradError`] from the backward pass.
     pub fn finish_into(
-        self,
+        mut self,
         loss: Var,
         grads: &mut Vec<Option<Matrix>>,
     ) -> Result<Vec<Option<Var>>> {
-        self.tape.backward(loss)?;
         grads.resize_with(self.params.len(), || None);
-        for (slot, dst) in self.bound.iter().zip(grads.iter_mut()) {
+        self.finish_range_into(loss, None, grads, 0)?;
+        Ok(self.bound)
+    }
+
+    /// Runs the backward pass from `out` and writes the gradients of
+    /// parameters `first..first + grads.len()` into `grads`: a bound one
+    /// gets its gradient (reusing the entry's storage when its shape
+    /// matches), an unbound one `None`. Parameters bound outside that
+    /// range are not written, so tapes whose parameters occupy disjoint
+    /// ranges of one store can finish concurrently into disjoint
+    /// `split_at_mut` halves of one gradient buffer.
+    ///
+    /// `seed` is `out`'s incoming gradient when `out` is the cut point of
+    /// a graph recorded over several tapes (see [`Tape::backward_seeded`]);
+    /// `None` back-propagates a scalar loss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`hwpr_autograd::AutogradError`] from the backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the store.
+    pub fn finish_range_into(
+        &mut self,
+        out: Var,
+        seed: Option<&Matrix>,
+        grads: &mut [Option<Matrix>],
+        first: usize,
+    ) -> Result<()> {
+        match seed {
+            Some(seed) => self.tape.backward_seeded(out, seed)?,
+            None => self.tape.backward(out)?,
+        }
+        let range = first..first + grads.len();
+        for (slot, dst) in self.bound[range].iter().zip(grads.iter_mut()) {
             let src = slot.and_then(|v| self.tape.grad(v));
             match (src, dst) {
                 (Some(g), Some(existing)) if existing.shape() == g.shape() => {
@@ -294,7 +328,7 @@ impl<'t, 'p> Binder<'t, 'p> {
                 (None, dst) => *dst = None,
             }
         }
-        Ok(self.bound)
+        Ok(())
     }
 
     /// Releases the tape borrow and returns the binding buffer for reuse
@@ -350,6 +384,27 @@ mod tests {
         let grads = binder.finish(y).unwrap();
         assert_eq!(grads.len(), 2);
         assert_eq!(grads[Params::index(w)].as_ref().unwrap()[(0, 0)], 3.0);
+        assert!(grads[Params::index(unused)].is_none());
+    }
+
+    #[test]
+    fn finish_range_into_writes_only_its_range() {
+        let mut p = Params::new();
+        let a = p.add_matrix("a", Matrix::filled(1, 1, 2.0));
+        let b = p.add_matrix("b", Matrix::filled(1, 1, 5.0));
+        let unused = p.add_matrix("unused", Matrix::filled(1, 1, 1.0));
+        let mut tape = Tape::new();
+        let mut binder = Binder::new(&mut tape, &p);
+        let (av, bv) = (binder.param(a), binder.param(b));
+        let y = binder.tape().mul(av, bv).unwrap();
+        // the caller's buffer covers all three; the finish owns b..=unused
+        let stale = Some(Matrix::filled(1, 1, -9.0));
+        let mut grads = [stale.clone(), stale.clone(), stale.clone()];
+        binder
+            .finish_range_into(y, None, &mut grads[1..], Params::index(b))
+            .unwrap();
+        assert_eq!(grads[0], stale, "a lies outside the range");
+        assert_eq!(grads[1].as_ref().unwrap()[(0, 0)], 2.0);
         assert!(grads[Params::index(unused)].is_none());
     }
 

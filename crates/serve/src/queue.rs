@@ -378,14 +378,17 @@ impl WorkerState {
         let model = &batch[0].model;
         self.scores.clear();
         self.objectives.clear();
-        let result = model.frozen().predict_into_with(
-            model.cache(),
-            &self.archs,
-            batch[0].slot,
-            Some(&mut self.scores),
-            Some(&mut self.objectives),
-            &mut self.arena,
-        );
+        let (archs, scores, objectives) = (&self.archs, &mut self.scores, &mut self.objectives);
+        let result = guarded_forward(&mut self.arena, |arena| {
+            model.frozen().predict_into_with(
+                model.cache(),
+                archs,
+                batch[0].slot,
+                Some(scores),
+                Some(objectives),
+                arena,
+            )
+        });
         match result {
             Ok(()) => {
                 // split the output columns back per request
@@ -406,16 +409,16 @@ impl WorkerState {
                     p.reply.send(&self.frame);
                 }
             }
-            Err(ref e) => {
-                // slot was validated at admission, so this is a genuine
-                // engine failure: every rider gets the error, the worker
-                // survives
+            Err(message) => {
+                // slot and architectures were validated at admission, so
+                // this is a genuine engine failure: every rider gets the
+                // error, the worker survives
                 for p in batch.iter() {
                     protocol::encode_error_response(
                         &mut self.frame,
                         p.request_id,
                         STATUS_ERROR,
-                        &format!("prediction failed: {e}"),
+                        &format!("prediction failed: {message}"),
                     );
                     p.reply.send(&self.frame);
                 }
@@ -441,6 +444,29 @@ impl WorkerState {
         }
         for mut p in batch.drain(..) {
             queue.recycle_arch_buf(std::mem::take(&mut p.archs));
+        }
+    }
+}
+
+/// Runs one batch's forward on `arena`, turning an engine error or a
+/// panic into an error message. A panic would otherwise end the worker
+/// thread while the acceptor keeps queueing requests nobody drains, so
+/// every later client would wait forever. A forward cut short by a panic
+/// may leave the arena in any state, so it is replaced.
+fn guarded_forward(
+    arena: &mut InferArena,
+    forward: impl FnOnce(&mut InferArena) -> hwpr_core::Result<()>,
+) -> Result<(), String> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| forward(&mut *arena))) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(panic) => {
+            *arena = InferArena::default();
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            Err(format!("the engine panicked: {what}"))
         }
     }
 }
@@ -545,6 +571,33 @@ mod tests {
     ) {
         let mut group = vec![request(model, queue, sink, id, kind, rows)];
         assert_eq!(queue.push(&mut group), 1);
+    }
+
+    #[test]
+    fn a_panicking_forward_is_an_error_and_the_next_forward_runs() {
+        let model = tiny_served();
+        let rows = cells(7, 5);
+        let forward = |arena: &mut InferArena, out: &mut Vec<f64>| {
+            out.clear();
+            model
+                .frozen()
+                .predict_into_with(model.cache(), &rows, 0, Some(out), None, arena)
+        };
+        let mut arena = InferArena::default();
+        let mut expected = Vec::new();
+        guarded_forward(&mut arena, |a| forward(a, &mut expected)).unwrap();
+        let err = guarded_forward(&mut arena, |a| {
+            let mut partial = Vec::new();
+            forward(a, &mut partial).unwrap();
+            panic!("injected after {} rows", partial.len())
+        })
+        .unwrap_err();
+        assert!(err.contains("panicked: injected after 5 rows"), "{err}");
+        let mut again = Vec::new();
+        guarded_forward(&mut arena, |a| forward(a, &mut again)).unwrap();
+        assert_eq!(again, expected);
+        let err = guarded_forward(&mut arena, |_| panic!("{}", String::from("owned"))).unwrap_err();
+        assert!(err.ends_with("owned"), "{err}");
     }
 
     #[test]
