@@ -273,7 +273,9 @@ impl Tape {
     ///
     /// Returns a shape error when the block structure is inconsistent.
     pub fn block_graph_matmul(&mut self, x: Var, adjacency: Vec<Matrix>, n: usize) -> Result<Var> {
-        let value = self.nodes[x.0].value.block_left_matmul(&adjacency, n)?;
+        let src = &self.nodes[x.0].value;
+        let mut value = self.pool.take(src.rows(), src.cols());
+        src.block_left_matmul_into(&adjacency, n, &mut self.pool, &mut value)?;
         Ok(self.push(value, Op::BlockGraphMatmul(x, adjacency, n)))
     }
 

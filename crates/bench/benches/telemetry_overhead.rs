@@ -1,17 +1,18 @@
-//! Cost of the telemetry layer on the training hot path: the same
-//! steady-state fused train step measured three ways.
+//! Cost of the telemetry layer on the training path: one surrogate fit
+//! (`HwPrNas::fit` on the shared fixture dataset, both encoder branches,
+//! per-epoch validation and the fusion fine-tune) timed three ways.
 //!
 //! - `recorder_off` — telemetry disabled (the default); every
-//!   instrumentation point is one relaxed atomic load. The PR acceptance
-//!   point: within 2 % of the uninstrumented PR-2 number.
+//!   instrumentation point is one relaxed atomic load.
 //! - `recorder_null` — telemetry enabled with a [`NullSink`]: events are
 //!   built and timers read, then discarded, isolating pure
 //!   instrumentation cost from sink IO.
 //! - `recorder_jsonl` — telemetry enabled with a real JSONL sink writing
-//!   to an in-memory buffer: encode cost included, file IO excluded.
+//!   to a discarding writer: encode cost included, file IO excluded.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hwpr_bench::train_step::{step_data, FusedTrainer, StepConfig};
+use hwpr_bench::fixture_dataset;
+use hwpr_core::{HwPrNas, ModelConfig, TrainConfig};
 use hwpr_obs::sink::{JsonlSink, NullSink};
 use hwpr_obs::Recorder;
 use std::sync::Arc;
@@ -19,29 +20,20 @@ use std::sync::Arc;
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
-    let config = StepConfig::paper();
-    let data = step_data(&config);
-    let mut trainer = FusedTrainer::new(&config);
-    for _ in 0..2 {
-        trainer.step(&data);
-    }
+    let data = fixture_dataset(128);
+    let fit =
+        || HwPrNas::fit(&data, &ModelConfig::tiny(), &TrainConfig::tiny()).expect("fixture fit");
 
     hwpr_obs::shutdown();
-    group.bench_function("recorder_off", |b| b.iter(|| trainer.step(&data)));
+    group.bench_function("recorder_off", |b| b.iter(fit));
 
     hwpr_obs::install(Arc::new(NullSink) as Arc<dyn Recorder>);
-    for _ in 0..2 {
-        trainer.step(&data);
-    }
-    group.bench_function("recorder_null", |b| b.iter(|| trainer.step(&data)));
+    group.bench_function("recorder_null", |b| b.iter(fit));
 
     hwpr_obs::install(
         Arc::new(JsonlSink::to_writer(Box::new(std::io::sink()))) as Arc<dyn Recorder>
     );
-    for _ in 0..2 {
-        trainer.step(&data);
-    }
-    group.bench_function("recorder_jsonl", |b| b.iter(|| trainer.step(&data)));
+    group.bench_function("recorder_jsonl", |b| b.iter(fit));
     hwpr_obs::shutdown();
 
     group.finish();

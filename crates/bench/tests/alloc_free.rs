@@ -1,16 +1,17 @@
-//! Proves the zero-allocation properties of the hot paths: once its
-//! arenas, buffer pools and caches are warm, (a) a training step,
-//! (b) a frozen-engine inference pass and (c) the workspace-backed MOO
-//! kernels each perform zero heap allocations.
+//! Proves the zero-allocation properties of the hot paths: once their
+//! arenas, buffer pools and caches are warm, (a) a frozen-engine
+//! inference pass, (b) the workspace-backed MOO kernels, (c) the island
+//! generation loop and (d) the serving loop each perform zero heap
+//! allocations. The training step's own count is pinned in `hwpr-core`
+//! (`train::tests::warm_training_steps_allocate_a_fixed_count`).
 //!
 //! Gated behind the `alloc-count` feature because it installs a global
 //! allocator; run with `cargo test -p hwpr-bench --features alloc-count`.
 
 #![cfg(feature = "alloc-count")]
 
-use hwpr_bench::alloc_count::{allocations, CountingAllocator};
-use hwpr_bench::train_step::{step_data, FusedTrainer, StepConfig};
 use hwpr_bench::{fixture_archs, fixture_model, fixture_objectives};
+use hwpr_core::alloc_count::{allocations, settled_allocations, CountingAllocator};
 use hwpr_hwmodel::Platform;
 use hwpr_moo::{Fronts, IncrementalHv2, MooWorkspace};
 use hwpr_nasbench::SearchSpaceId;
@@ -24,50 +25,6 @@ static ALLOC: CountingAllocator = CountingAllocator;
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The allocation count once no thread has allocated for a few
-/// milliseconds. The lock keeps proofs apart, but not the test harness:
-/// when a proof finishes and releases the lock, the harness thread
-/// reports it and spawns the next test's thread, and that work may
-/// overlap the next proof. Every measured window opens here.
-fn settled_allocations() -> u64 {
-    let mut seen = allocations();
-    for _ in 0..200 {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let now = allocations();
-        if now == seen {
-            break;
-        }
-        seen = now;
-    }
-    seen
-}
-
-#[test]
-fn steady_state_train_step_is_allocation_free() {
-    let _serial = serial();
-    let config = StepConfig::tiny();
-    let data = step_data(&config);
-    let mut trainer = FusedTrainer::new(&config);
-    // warm-up: grows the node arena, buffer pools, gradient buffers and
-    // AdamW moments to their steady-state footprint
-    for _ in 0..5 {
-        trainer.step(&data);
-    }
-    let before = settled_allocations();
-    let mut loss = 0.0;
-    for _ in 0..3 {
-        loss += trainer.step(&data);
-    }
-    let after = allocations();
-    assert!(loss.is_finite());
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state training steps performed {} heap allocations",
-        after - before
-    );
 }
 
 #[test]

@@ -233,13 +233,18 @@ impl EncoderSet {
         for arch in archs {
             encodings.push(cache.encoding(arch)?);
         }
-        let mut parts: Vec<Var> = Vec::new();
+        let mut parts = binder.tape().scratch_vars();
         if !self.gcn.is_empty() {
             let nodes = cache.nodes();
-            let feature_rows: Vec<&Matrix> = encodings.iter().map(|e| &e.graph.features).collect();
-            let stacked = Matrix::concat_rows(&feature_rows)
-                .map_err(hwpr_autograd::AutogradError::from)
-                .map_err(hwpr_nn::NnError::from)?;
+            // every sample's node features, stacked in pooled tape storage
+            let mut stacked = binder.tape().alloc(batch * nodes, NODE_FEATURE_DIM);
+            for (block, e) in stacked
+                .as_mut_slice()
+                .chunks_exact_mut(nodes * NODE_FEATURE_DIM)
+                .zip(&encodings)
+            {
+                block.copy_from_slice(e.graph.features.as_slice());
+            }
             // shared references into the cache: the layer copies them into
             // pooled tape storage itself, so no deep clones here
             let adjacency: Vec<&Matrix> = encodings.iter().map(|e| &e.graph.adjacency).collect();
@@ -273,21 +278,21 @@ impl EncoderSet {
             binder.tape().recycle_vars(steps);
         }
         if let Some(norm) = &self.af_normalizer {
-            let mut data = Vec::with_capacity(batch * ARCH_FEATURE_DIM);
-            for e in &encodings {
-                data.extend(norm.transform(&e.af));
+            let mut af = binder.tape().alloc(batch, ARCH_FEATURE_DIM);
+            for (b, e) in encodings.iter().enumerate() {
+                norm.transform_into(&e.af, af.row_mut(b));
             }
-            let af = Matrix::from_vec(batch, ARCH_FEATURE_DIM, data)
-                .expect("AF batch shape is consistent");
             parts.push(binder.input(af));
         }
-        if parts.len() == 1 {
-            return Ok(parts[0]);
-        }
-        Ok(binder
-            .tape()
-            .concat_cols(&parts)
-            .map_err(hwpr_nn::NnError::from)?)
+        let out = match parts[..] {
+            [only] => only,
+            _ => binder
+                .tape()
+                .concat_cols(&parts)
+                .map_err(hwpr_nn::NnError::from)?,
+        };
+        binder.tape().recycle_vars(parts);
+        Ok(out)
     }
 }
 

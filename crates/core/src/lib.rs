@@ -31,6 +31,8 @@
 //!   one MLP fine-tuned for 5 epochs).
 
 #![warn(missing_docs)]
+#[cfg(feature = "alloc-count")]
+pub mod alloc_count;
 pub mod baselines;
 pub mod config;
 pub mod data;

@@ -273,7 +273,9 @@ impl HwPrNas {
         } = tapes;
         let bind = |tape: &'a mut Tape| {
             tape.reset();
-            Binder::rebind(tape, &self.params, Vec::new(), train)
+            let mut binder = Binder::new(tape, &self.params);
+            binder.train = train;
+            binder
         };
         let (mut acc_binder, mut lat_binder) = (bind(accuracy), bind(latency));
         let (acc_out, lat_out) = std::thread::scope(|s| {

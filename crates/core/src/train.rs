@@ -35,8 +35,12 @@ use rand_chacha::rand_core::SeedableRng;
 pub struct TrainReport {
     /// Number of epochs actually run (≤ configured epochs).
     pub epochs_run: usize,
-    /// Kendall τ between predicted scores and (negated) true Pareto rank
-    /// on the validation split.
+    /// The best validation Kendall τ seen while training: the maximum,
+    /// over every epoch and the end of the fusion fine-tune, of the τ
+    /// between predicted scores and (negated) true Pareto ranks on the
+    /// validation split. The returned model is the last one trained, not
+    /// the best, so its own τ can be lower. [`HwPrNas::fit_multi`]
+    /// reports the last platform round's maximum.
     pub val_rank_tau: f64,
     /// Final training loss (rank + RMSE terms).
     pub final_loss: f64,
@@ -537,8 +541,9 @@ mod tests {
     }
 
     /// A model over both search spaces with dropout on, and one staged
-    /// batch that interleaves NAS-Bench-201 and FBNet rows.
-    fn mixed_model_and_batch() -> (HwPrNas, Batch) {
+    /// batch of `rows` rows (at most 48) that interleaves NAS-Bench-201
+    /// and FBNet rows.
+    fn mixed_model_and_batch(rows: usize) -> (HwPrNas, Batch) {
         let fbnet = SimBench::generate(SimBenchConfig {
             space: SearchSpaceId::FBNet,
             sample_size: Some(24),
@@ -567,7 +572,7 @@ mod tests {
             .pareto_ranks(&objectives)
             .unwrap()
             .to_vec();
-        let indices: Vec<usize> = (0..10).flat_map(|i| [i, 24 + i]).collect();
+        let indices: Vec<usize> = (0..rows / 2).flat_map(|i| [i, 24 + i]).collect();
         let mut batch = Batch::default();
         let mut rng = LayerRng::seed_from_u64(1);
         batch.stage(data.samples(), &indices, &ranks, max_latency, &mut rng);
@@ -628,7 +633,7 @@ mod tests {
 
     #[test]
     fn split_step_matches_the_single_tape_step_bit_for_bit() {
-        let (model, mut batch) = mixed_model_and_batch();
+        let (model, mut batch) = mixed_model_and_batch(20);
         let config = TrainConfig::tiny();
         let mut tapes = PassTapes::default();
         let mut grads = Vec::new();
@@ -657,6 +662,90 @@ mod tests {
                 assert_eq!(bits(got), bits(want), "{name} (fine-tune: {fusion_only})");
                 let trained = !fusion_only || i >= model.fusion_param_start;
                 assert_eq!(got.is_some(), trained, "{name} (fine-tune: {fusion_only})");
+            }
+        }
+    }
+
+    /// Pins the heap allocations of a warm training step to a constant
+    /// that does not grow with the batch: 20 and 40 mixed NAS-Bench-201 +
+    /// FBNet rows, dropout on. Each step's count is its scoped spawns
+    /// (the encoders' forward, plus their backward in the joint step),
+    /// at what one empty scoped spawn allocates, plus a fixed remainder.
+    /// The spawn is measured here because the harness changes it: 4 on
+    /// std 1.95 (the scope's shared state, the thread handle, the result
+    /// packet, the boxed closure), and 2 more for libtest's
+    /// output-capture spawn hook unless the test runs with `--nocapture`.
+    ///
+    /// The remainder of a fusion step (11):
+    /// - 3: the binding `Vec` of each tape's `Binder` (accuracy, latency,
+    ///   main), sized to the parameter store;
+    /// - 2: each encoder's `Vec` of the batch's cached encodings;
+    /// - 1: the LSTM encoder's token-id staging `Vec`;
+    /// - 2: the GCN encoder's adjacency-borrow `Vec` and its global-node
+    ///   row-index `Vec`;
+    /// - 3: the GEMM pack buffers of the forward worker thread. They are
+    ///   thread-local, so every new thread grows them from empty: the B
+    ///   panel once, the A panel twice (the graph product, then the wider
+    ///   GCN linear layer).
+    ///
+    /// A joint step's remainder (16) adds the backward worker thread's
+    /// pack buffers (5: the B panel twice, the A panel three times).
+    ///
+    /// The counts repeat exactly only while every matrix a pass records
+    /// comes from its tape's pool. A matrix built outside it enters the
+    /// pool at the next reset at exact capacity, below its power-of-two
+    /// class: the pool then grows by one buffer per step, and a later take
+    /// that pops that buffer and needs more reallocates it, so the count
+    /// jitters by one.
+    ///
+    /// The counter is process-wide: run this test alone, `cargo test -p
+    /// hwpr-core --features alloc-count --lib
+    /// train::tests::warm_training_steps_allocate_a_fixed_count -- --exact`.
+    #[cfg(feature = "alloc-count")]
+    #[test]
+    fn warm_training_steps_allocate_a_fixed_count() {
+        use crate::alloc_count::{allocations, settled_allocations};
+        settled_allocations();
+        let spawn = || {
+            let before = allocations();
+            std::thread::scope(|s| {
+                s.spawn(|| ());
+            });
+            allocations() - before
+        };
+        spawn();
+        let spawn = spawn();
+        let config = TrainConfig::tiny();
+        for rows in [20, 40] {
+            let (model, mut batch) = mixed_model_and_batch(rows);
+            let mut tapes = PassTapes::default();
+            let mut grads = Vec::new();
+            let mut rng = LayerRng::seed_from_u64(9);
+            for (fusion_only, expected) in [(false, 2 * spawn + 16), (true, spawn + 11)] {
+                let mut step = || {
+                    let before = allocations();
+                    if fusion_only {
+                        fusion_step(
+                            &model, &mut tapes, &mut batch, 0, &config, &mut rng, &mut grads,
+                        )
+                        .unwrap();
+                    } else {
+                        joint_step(
+                            &model, &mut tapes, &mut batch, 0, &config, &mut rng, &mut grads,
+                        )
+                        .unwrap();
+                    }
+                    allocations() - before
+                };
+                // warm-up: tape nodes and pools, gradient buffers
+                for _ in 0..4 {
+                    step();
+                }
+                let counts: Vec<u64> = (0..5).map(|_| step()).collect();
+                assert_eq!(
+                    counts, [expected; 5],
+                    "{rows} rows, fine-tune: {fusion_only}, one empty spawn: {spawn}"
+                );
             }
         }
     }

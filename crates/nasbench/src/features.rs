@@ -107,19 +107,7 @@ impl FeatureNormalizer {
         Self { mins, spans }
     }
 
-    /// Normalises one row in place semantics (returns a new vector).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` has the wrong dimension.
-    pub fn transform(&self, row: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0; row.len()];
-        self.transform_into(row, &mut out);
-        out
-    }
-
-    /// Normalises one row into the caller's buffer (the allocation-free
-    /// form of [`FeatureNormalizer::transform`], bit-identical arithmetic).
+    /// Normalises one row into the caller's buffer.
     ///
     /// # Panics
     ///
@@ -133,11 +121,6 @@ impl FeatureNormalizer {
         {
             *o = (v - mn) / span;
         }
-    }
-
-    /// Normalises a batch of rows.
-    pub fn transform_batch(&self, rows: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        rows.iter().map(|r| self.transform(r)).collect()
     }
 }
 
@@ -183,8 +166,10 @@ mod tests {
             })
             .collect();
         let norm = FeatureNormalizer::fit(&rows);
-        for r in norm.transform_batch(&rows) {
-            for v in r {
+        let mut out = vec![0.0; ARCH_FEATURE_DIM];
+        for r in &rows {
+            norm.transform_into(r, &mut out);
+            for &v in &out {
                 assert!((-1e-6..=1.0 + 1e-6).contains(&v), "out of box: {v}");
             }
         }
@@ -194,7 +179,8 @@ mod tests {
     fn normalizer_constant_dim_is_stable() {
         let rows = vec![vec![3.0, 1.0], vec![3.0, 2.0]];
         let norm = FeatureNormalizer::fit(&rows);
-        let t = norm.transform(&[3.0, 1.5]);
+        let mut t = [0.0; 2];
+        norm.transform_into(&[3.0, 1.5], &mut t);
         assert_eq!(t[0], 0.0); // constant dim maps to 0, no NaN
         assert!((t[1] - 0.5).abs() < 1e-6);
     }
@@ -203,6 +189,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn normalizer_rejects_wrong_dim() {
         let norm = FeatureNormalizer::fit(&[vec![1.0], vec![2.0]]);
-        let _ = norm.transform(&[1.0, 2.0]);
+        norm.transform_into(&[1.0, 2.0], &mut [0.0; 2]);
     }
 }

@@ -198,25 +198,6 @@ impl<'t, 'p> Binder<'t, 'p> {
         b
     }
 
-    /// Creates a binder that reuses a binding buffer returned by
-    /// [`Binder::finish_into`], avoiding the per-pass `Vec` allocation of
-    /// [`Binder::new`]. The buffer is cleared and resized to the store.
-    pub fn rebind(
-        tape: &'t mut Tape,
-        params: &'p Params,
-        mut bound: Vec<Option<Var>>,
-        train: bool,
-    ) -> Self {
-        bound.clear();
-        bound.resize(params.len(), None);
-        Self {
-            tape,
-            params,
-            bound,
-            train,
-        }
-    }
-
     /// The tape being recorded onto.
     pub fn tape(&mut self) -> &mut Tape {
         self.tape
@@ -265,28 +246,6 @@ impl<'t, 'p> Binder<'t, 'p> {
         Ok(grads)
     }
 
-    /// Runs the backward pass from `loss` and copies per-parameter
-    /// gradients into `grads` (resized to the store), reusing each entry's
-    /// storage when its shape already matches. Returns the binding buffer
-    /// for reuse via [`Binder::rebind`].
-    ///
-    /// Together with [`Tape::reset`] this keeps a fixed-shape training loop
-    /// free of per-step allocations: both the binding `Vec` and every
-    /// gradient matrix persist across steps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`hwpr_autograd::AutogradError`] from the backward pass.
-    pub fn finish_into(
-        mut self,
-        loss: Var,
-        grads: &mut Vec<Option<Matrix>>,
-    ) -> Result<Vec<Option<Var>>> {
-        grads.resize_with(self.params.len(), || None);
-        self.finish_range_into(loss, None, grads, 0)?;
-        Ok(self.bound)
-    }
-
     /// Runs the backward pass from `out` and writes the gradients of
     /// parameters `first..first + grads.len()` into `grads`: a bound one
     /// gets its gradient (reusing the entry's storage when its shape
@@ -329,13 +288,6 @@ impl<'t, 'p> Binder<'t, 'p> {
             }
         }
         Ok(())
-    }
-
-    /// Releases the tape borrow and returns the binding buffer for reuse
-    /// via [`Binder::rebind`] — the inference-path counterpart of
-    /// [`Binder::finish_into`] (no backward pass, no gradients).
-    pub fn into_bound(self) -> Vec<Option<Var>> {
-        self.bound
     }
 }
 
