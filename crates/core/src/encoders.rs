@@ -3,7 +3,7 @@
 use crate::config::ModelConfig;
 use crate::data::EncodingCache;
 use crate::Result;
-use hwpr_autograd::Var;
+use hwpr_autograd::{Tape, Var};
 use hwpr_nasbench::features::{FeatureNormalizer, ARCH_FEATURE_DIM};
 use hwpr_nasbench::graph::NODE_FEATURE_DIM;
 use hwpr_nasbench::{tokens, Architecture};
@@ -294,12 +294,51 @@ impl EncoderSet {
         binder.tape().recycle_vars(parts);
         Ok(out)
     }
+
+    /// Encodes `archs` on `tape`, in chunks of at most `chunk` rows, into
+    /// one `[archs.len(), output_dim]` matrix: the representation a head
+    /// trains on while this encoder is frozen. No encoder layer mixes
+    /// rows, so each row holds the bits [`Self::forward`] gives that
+    /// architecture in any batch (pinned by
+    /// `encoder_rows_do_not_depend_on_their_batch`).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::forward`].
+    pub(crate) fn encode_rows(
+        &self,
+        tape: &mut Tape,
+        params: &Params,
+        cache: &EncodingCache,
+        archs: &[Architecture],
+        chunk: usize,
+    ) -> Result<Matrix> {
+        let mut rows = Matrix::zeros(archs.len(), self.output_dim);
+        for (i, part) in archs.chunks(chunk).enumerate() {
+            tape.reset();
+            let mut binder = Binder::new(tape, params);
+            let out = self.forward(&mut binder, cache, part)?;
+            rows.rows_mut(i * chunk, part.len())
+                .copy_from_slice(binder.tape().value(out).as_slice());
+        }
+        Ok(rows)
+    }
+}
+
+/// A leaf on `binder`'s tape holding rows `indices` of `rows`, in the
+/// tape's pooled storage: a batch of encoder rows cached by
+/// [`EncoderSet::encode_rows`].
+pub(crate) fn gather_leaf(binder: &mut Binder<'_, '_>, rows: &Matrix, indices: &[usize]) -> Var {
+    let mut batch = binder.tape().alloc(indices.len(), rows.cols());
+    for (b, &i) in indices.iter().enumerate() {
+        batch.row_mut(b).copy_from_slice(rows.row(i));
+    }
+    binder.input(batch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwpr_autograd::Tape;
     use hwpr_nasbench::{Dataset, SearchSpaceId};
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;

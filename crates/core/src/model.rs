@@ -2,7 +2,7 @@
 
 use crate::config::ModelConfig;
 use crate::data::EncodingCache;
-use crate::encoders::{EncoderChoice, EncoderSet};
+use crate::encoders::{gather_leaf, EncoderChoice, EncoderSet};
 use crate::frozen::FrozenModel;
 use crate::Result;
 use hwpr_autograd::{Tape, Var};
@@ -248,16 +248,15 @@ impl HwPrNas {
             })
     }
 
-    /// One forward pass over a batch: the pass behind training, fusion
-    /// fine-tuning and the `predict_*_tape` oracles.
+    /// One forward pass over a batch: the pass behind the joint training
+    /// step and the `predict_*_tape` oracles. It runs the encoder half,
+    /// then the heads half ([`Self::heads`]).
     ///
     /// The two encoders share nothing until the fusion layer (Fig. 3), so
     /// each records on its own tape of `tapes`, concurrently: the accuracy
     /// encoder on a scoped worker thread, the latency encoder on the
     /// calling thread. Each encoder's output is copied into the main tape
-    /// as a leaf, and the heads and fusion run there in the one-tape
-    /// order, so dropout draws from `rng` in the same sequence (accuracy
-    /// head, then latency head). The encoders draw nothing.
+    /// as a leaf. The encoders draw nothing from `rng`.
     pub(crate) fn forward<'a>(
         &'a self,
         tapes: &'a mut PassTapes,
@@ -278,33 +277,22 @@ impl HwPrNas {
             binder
         };
         let (mut acc_binder, mut lat_binder) = (bind(accuracy), bind(latency));
-        let (acc_out, lat_out) = std::thread::scope(|s| {
-            let worker = s.spawn(|| {
+        let (acc_out, lat_out) = on_two_cores(
+            || {
                 self.accuracy_encoder
                     .forward(&mut acc_binder, &self.cache, archs)
-            });
-            let lat = self
-                .latency_encoder
-                .forward(&mut lat_binder, &self.cache, archs);
-            let acc = worker
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (acc, lat)
-        });
+            },
+            || {
+                self.latency_encoder
+                    .forward(&mut lat_binder, &self.cache, archs)
+            },
+        );
         let (acc_out, lat_out) = (acc_out?, lat_out?);
         let mut binder = bind(main);
         let acc_repr = binder.input_copy(acc_binder.tape().value(acc_out));
-        let accuracy = self.accuracy_head.forward(&mut binder, acc_repr, rng)?;
         let lat_repr = binder.input_copy(lat_binder.tape().value(lat_out));
-        let latency = self.latency_heads[platform_slot].forward(&mut binder, lat_repr, rng)?;
-        let both = binder
-            .tape()
-            .concat_cols(&[accuracy, latency])
-            .map_err(hwpr_nn::NnError::from)?;
-        let score = self.fusion.forward(&mut binder, both, rng)?;
         Ok(Pass {
-            model: self,
-            main: binder,
+            heads: self.heads(binder, acc_repr, lat_repr, platform_slot, rng)?,
             accuracy: BranchPass {
                 binder: acc_binder,
                 out: acc_out,
@@ -315,11 +303,81 @@ impl HwPrNas {
                 out: lat_out,
                 leaf: lat_repr,
             },
+        })
+    }
+
+    /// The fusion fine-tune's pass (§IV-A), with dropout on: the heads
+    /// half alone, on the main tape of `tapes`, over rows `indices` of
+    /// encoder outputs cached by [`Self::encoder_rows`]. The encoders are
+    /// frozen during the fine-tune, and a row does not depend on the batch
+    /// it was encoded in, so the gathered leaves hold the bits the encoder
+    /// half would give this batch.
+    pub(crate) fn forward_cached<'a>(
+        &'a self,
+        tapes: &'a mut PassTapes,
+        rows: &EncoderRows,
+        indices: &[usize],
+        platform_slot: usize,
+        rng: &mut LayerRng,
+    ) -> Result<HeadsPass<'a>> {
+        tapes.main.reset();
+        let mut binder = Binder::for_training(&mut tapes.main, &self.params);
+        let acc_repr = gather_leaf(&mut binder, &rows.accuracy, indices);
+        let lat_repr = gather_leaf(&mut binder, &rows.latency, indices);
+        self.heads(binder, acc_repr, lat_repr, platform_slot, rng)
+    }
+
+    /// The heads half of a pass: the accuracy head on `acc_repr`, the
+    /// latency head of `platform_slot` on `lat_repr`, then the fusion
+    /// layer, all on `main`'s tape in the one-tape order, so dropout draws
+    /// from `rng` in the same sequence (accuracy head, then latency head).
+    fn heads<'a>(
+        &'a self,
+        mut main: Binder<'a, 'a>,
+        acc_repr: Var,
+        lat_repr: Var,
+        platform_slot: usize,
+        rng: &mut LayerRng,
+    ) -> Result<HeadsPass<'a>> {
+        let accuracy = self.accuracy_head.forward(&mut main, acc_repr, rng)?;
+        let latency = self.latency_heads[platform_slot].forward(&mut main, lat_repr, rng)?;
+        let both = main
+            .tape()
+            .concat_cols(&[accuracy, latency])
+            .map_err(hwpr_nn::NnError::from)?;
+        let score = self.fusion.forward(&mut main, both, rng)?;
+        Ok(HeadsPass {
+            model: self,
+            main,
             out: BranchOutputs {
                 accuracy,
                 latency,
                 score,
             },
+        })
+    }
+
+    /// Both encoders' outputs over `archs`, one row per architecture,
+    /// encoded in [`INFER_BATCH`] chunks on the encoder tapes of `tapes`
+    /// (the two encoders concurrently, as in [`Self::forward`]).
+    pub(crate) fn encoder_rows(
+        &self,
+        tapes: &mut PassTapes,
+        archs: &[Architecture],
+    ) -> Result<EncoderRows> {
+        let PassTapes {
+            accuracy, latency, ..
+        } = tapes;
+        let encode = |encoder: &EncoderSet, tape: &mut Tape| {
+            encoder.encode_rows(tape, &self.params, &self.cache, archs, INFER_BATCH)
+        };
+        let (accuracy, latency) = on_two_cores(
+            || encode(&self.accuracy_encoder, accuracy),
+            || encode(&self.latency_encoder, latency),
+        );
+        Ok(EncoderRows {
+            accuracy: accuracy?,
+            latency: latency?,
         })
     }
 
@@ -404,8 +462,8 @@ impl HwPrNas {
     }
 
     /// Reference implementation of [`Self::predict_scores`] on the
-    /// recording tape. Kept for differential testing and for callers whose
-    /// parameters are still changing (e.g. per-epoch validation).
+    /// recording tape, kept for differential testing. Per-epoch validation
+    /// runs the same loop on the fit's own tapes.
     ///
     /// # Errors
     ///
@@ -416,7 +474,8 @@ impl HwPrNas {
         platform: Platform,
     ) -> Result<Vec<f64>> {
         let mut scores = Vec::with_capacity(archs.len());
-        self.tape_into(archs, platform, Some(&mut scores), None)?;
+        let tapes = &mut PassTapes::default();
+        self.tape_into(tapes, archs, platform, Some(&mut scores), None)?;
         Ok(scores)
     }
 
@@ -433,7 +492,8 @@ impl HwPrNas {
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
         let mut scores = Vec::with_capacity(archs.len());
         let mut pairs = Vec::with_capacity(archs.len());
-        self.tape_into(archs, platform, Some(&mut scores), Some(&mut pairs))?;
+        let tapes = &mut PassTapes::default();
+        self.tape_into(tapes, archs, platform, Some(&mut scores), Some(&mut pairs))?;
         Ok((scores, error_objectives(pairs)))
     }
 
@@ -449,16 +509,20 @@ impl HwPrNas {
         platform: Platform,
     ) -> Result<Vec<(f64, f64)>> {
         let mut pairs = Vec::with_capacity(archs.len());
-        self.tape_into(archs, platform, None, Some(&mut pairs))?;
+        let tapes = &mut PassTapes::default();
+        self.tape_into(tapes, archs, platform, None, Some(&mut pairs))?;
         Ok(pairs)
     }
 
-    /// The one tape inference loop behind the `predict_*_tape` oracles:
-    /// Pareto scores and `(accuracy %, latency ms)` pairs, one forward per
-    /// [`INFER_BATCH`] chunk, appended to whichever of `scores` and
-    /// `pairs` is given.
-    fn tape_into(
+    /// The one tape inference loop behind the `predict_*_tape` oracles and
+    /// per-epoch validation: Pareto scores and `(accuracy %, latency ms)`
+    /// pairs, one forward per [`INFER_BATCH`] chunk on `tapes`, appended to
+    /// whichever of `scores` and `pairs` is given. The oracles pass fresh
+    /// tapes; validation passes the fit's warm ones, whose pooled buffers
+    /// the passes reuse.
+    pub(crate) fn tape_into(
         &self,
+        tapes: &mut PassTapes,
         archs: &[Architecture],
         platform: Platform,
         mut scores: Option<&mut Vec<f64>>,
@@ -466,12 +530,10 @@ impl HwPrNas {
     ) -> Result<()> {
         let slot = self.platform_slot(platform)?;
         let mut rng = LayerRng::seed_from_u64(0);
-        // one set of tapes for all chunks: each pass recycles their buffers
-        let mut tapes = PassTapes::default();
         for chunk in archs.chunks(INFER_BATCH) {
-            let mut pass = self.forward(&mut tapes, chunk, slot, &mut rng, false)?;
-            let out = pass.out;
-            let tape = &*pass.tape();
+            let mut pass = self.forward(tapes, chunk, slot, &mut rng, false)?;
+            let out = pass.heads.out;
+            let tape = &*pass.heads.tape();
             if let Some(scores) = scores.as_deref_mut() {
                 scores.extend(tape.value(out.score).as_slice().iter().map(|&v| v as f64));
             }
@@ -525,55 +587,50 @@ impl BranchPass<'_> {
     }
 }
 
-/// A recorded forward pass over [`PassTapes`], produced by
-/// [`HwPrNas::forward`]. Losses record onto [`Pass::tape`]; a training
-/// pass then ends in [`Pass::backward`] or [`Pass::backward_fusion`].
-pub(crate) struct Pass<'a> {
+/// Encoder outputs cached one row per architecture by
+/// [`HwPrNas::encoder_rows`]: what the fusion fine-tune trains on while
+/// the encoders are frozen.
+#[derive(Debug)]
+pub(crate) struct EncoderRows {
+    accuracy: Matrix,
+    latency: Matrix,
+}
+
+/// Runs `accuracy` on a scoped worker thread and `latency` on the calling
+/// thread: the two branches share nothing until the fusion layer.
+fn on_two_cores<A: Send, L>(
+    accuracy: impl FnOnce() -> A + Send,
+    latency: impl FnOnce() -> L,
+) -> (A, L) {
+    std::thread::scope(|s| {
+        let worker = s.spawn(accuracy);
+        let lat = latency();
+        let acc = worker
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (acc, lat)
+    })
+}
+
+/// The heads half of a recorded pass, on the main tape: produced alone by
+/// [`HwPrNas::forward_cached`] and inside every [`Pass`]. Losses record
+/// onto [`HeadsPass::tape`].
+pub(crate) struct HeadsPass<'a> {
     model: &'a HwPrNas,
     main: Binder<'a, 'a>,
-    accuracy: BranchPass<'a>,
-    latency: BranchPass<'a>,
     /// The heads' and the fusion layer's outputs on the main tape.
     pub(crate) out: BranchOutputs,
 }
 
-impl Pass<'_> {
+impl HeadsPass<'_> {
     /// The main tape, where the losses record.
     pub(crate) fn tape(&mut self) -> &mut Tape {
         self.main.tape()
     }
 
-    /// The joint step's backward pass: the main tape from `loss` first,
-    /// then both encoder tapes concurrently (the accuracy branch on a
-    /// scoped worker thread) from the gradients at their leaves. Every
-    /// parameter's gradient lands in `grads` (sized to the store), each
-    /// tape writing its own range.
-    ///
-    /// Bit-identical to one tape: a branch output's only consumer is its
-    /// head, so the leaf receives exactly the gradient the output would
-    /// have, and within a branch nothing is reordered.
-    pub(crate) fn backward(mut self, loss: Var, grads: &mut Vec<Option<Matrix>>) -> Result<()> {
-        let model = self.model;
-        grads.resize_with(model.params.len(), || None);
-        let (encoders, heads) = grads.split_at_mut(model.head_param_start);
-        let (acc_grads, lat_grads) = encoders.split_at_mut(model.latency_param_start);
-        self.main
-            .finish_range_into(loss, None, heads, model.head_param_start)?;
-        let main = &*self.main.tape();
-        let (accuracy, latency) = (&mut self.accuracy, &mut self.latency);
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| accuracy.backward(main, acc_grads, 0));
-            let lat = latency.backward(main, lat_grads, model.latency_param_start);
-            worker
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                .and(lat)
-        })
-    }
-
     /// The fusion fine-tune's backward pass (§IV-A): the main tape alone,
     /// writing the fusion layer's gradients and `None` for every other
-    /// parameter, so the frozen branches cost no backward work.
+    /// parameter.
     pub(crate) fn backward_fusion(
         mut self,
         loss: Var,
@@ -584,6 +641,47 @@ impl Pass<'_> {
         let (frozen, fusion) = grads.split_at_mut(start);
         frozen.fill_with(|| None);
         Ok(self.main.finish_range_into(loss, None, fusion, start)?)
+    }
+}
+
+/// A recorded forward pass over all three [`PassTapes`], produced by
+/// [`HwPrNas::forward`]: the encoder branches and the heads half. A
+/// training pass ends in [`Pass::backward`].
+pub(crate) struct Pass<'a> {
+    pub(crate) heads: HeadsPass<'a>,
+    accuracy: BranchPass<'a>,
+    latency: BranchPass<'a>,
+}
+
+impl Pass<'_> {
+    /// The joint step's backward pass: the main tape from `loss` first,
+    /// then both encoder tapes concurrently (the accuracy branch on a
+    /// scoped worker thread) from the gradients at their leaves. Every
+    /// parameter's gradient lands in `grads` (sized to the store), each
+    /// tape writing its own range.
+    ///
+    /// Bit-identical to one tape: a branch output's only consumer is its
+    /// head, so the leaf receives exactly the gradient the output would
+    /// have, and within a branch nothing is reordered.
+    pub(crate) fn backward(self, loss: Var, grads: &mut Vec<Option<Matrix>>) -> Result<()> {
+        let Pass {
+            mut heads,
+            mut accuracy,
+            mut latency,
+        } = self;
+        let model = heads.model;
+        grads.resize_with(model.params.len(), || None);
+        let (encoders, head_grads) = grads.split_at_mut(model.head_param_start);
+        let (acc_grads, lat_grads) = encoders.split_at_mut(model.latency_param_start);
+        heads
+            .main
+            .finish_range_into(loss, None, head_grads, model.head_param_start)?;
+        let main = &*heads.tape();
+        let (acc, lat) = on_two_cores(
+            || accuracy.backward(main, acc_grads, 0),
+            || latency.backward(main, lat_grads, model.latency_param_start),
+        );
+        acc.and(lat)
     }
 }
 

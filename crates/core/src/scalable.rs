@@ -7,7 +7,8 @@
 
 use crate::config::{ModelConfig, TrainConfig};
 use crate::data::{EncodingCache, SurrogateDataset};
-use crate::encoders::{EncoderChoice, EncoderSet};
+use crate::encoders::{gather_leaf, EncoderChoice, EncoderSet};
+use crate::model::INFER_BATCH;
 use crate::Result;
 use hwpr_autograd::Tape;
 use hwpr_moo::MooWorkspace;
@@ -26,9 +27,6 @@ pub struct ScalableHwPrNas {
     encoder: EncoderSet,
     head: Mlp,
     cache: EncodingCache,
-    /// Number of parameters registered before the head (everything below
-    /// this watermark is frozen during fine-tuning).
-    encoder_param_count: usize,
     objectives: usize,
 }
 
@@ -56,7 +54,6 @@ impl ScalableHwPrNas {
             &cache,
             &train_archs,
         )?;
-        let encoder_param_count = params.len();
         let head = Mlp::new(
             &mut params,
             "score_head",
@@ -74,7 +71,6 @@ impl ScalableHwPrNas {
             encoder,
             head,
             cache,
-            encoder_param_count,
             objectives: 2,
         };
         let objectives: Vec<Vec<f64>> = data.samples().iter().map(|s| s.objectives()).collect();
@@ -117,7 +113,7 @@ impl ScalableHwPrNas {
     pub fn predict_scores(&self, archs: &[Architecture]) -> Result<Vec<f64>> {
         let mut rng = LayerRng::seed_from_u64(0);
         let mut out = Vec::with_capacity(archs.len());
-        for chunk in archs.chunks(crate::model::INFER_BATCH) {
+        for chunk in archs.chunks(INFER_BATCH) {
             let mut tape = Tape::new();
             let mut binder = Binder::new(&mut tape, &self.params);
             let repr = self.encoder.forward(&mut binder, &self.cache, chunk)?;
@@ -127,9 +123,10 @@ impl ScalableHwPrNas {
         Ok(out)
     }
 
-    /// Listwise ranking training over arbitrary objective vectors; when
-    /// `freeze_encoders` is set, gradients below the parameter watermark
-    /// are dropped so only the head moves.
+    /// Listwise ranking training over arbitrary objective vectors. When
+    /// `freeze_encoders` is set only the head moves: the encoders run once
+    /// over `data`, and every step trains the head on its batch's cached
+    /// rows, so no encoder parameter is bound or gets a gradient.
     fn train_ranking(
         &mut self,
         data: &SurrogateDataset,
@@ -147,6 +144,21 @@ impl ScalableHwPrNas {
         let mut rng = LayerRng::seed_from_u64(config.seed);
         // reused across every batch's Pareto ranking
         let mut moo = MooWorkspace::new();
+        // one tape, recycled by every step
+        let mut tape = Tape::new();
+        let rows = if freeze_encoders {
+            let archs: Vec<Architecture> = samples.iter().map(|s| s.arch.clone()).collect();
+            let rows = self.encoder.encode_rows(
+                &mut tape,
+                &self.params,
+                &self.cache,
+                &archs,
+                INFER_BATCH,
+            )?;
+            Some(rows)
+        } else {
+            None
+        };
         for epoch in 0..config.epochs {
             optimizer.set_learning_rate(schedule.learning_rate_at(epoch));
             let batches = shuffled_batches(
@@ -158,27 +170,27 @@ impl ScalableHwPrNas {
                 if batch.len() < 2 {
                     continue;
                 }
-                let archs: Vec<Architecture> =
-                    batch.iter().map(|&i| samples[i].arch.clone()).collect();
                 let batch_objs: Vec<Vec<f64>> =
                     batch.iter().map(|&i| objectives[i].clone()).collect();
                 let ranks = moo.pareto_ranks(&batch_objs)?;
                 let mut order: Vec<usize> = (0..batch.len()).collect();
                 order.shuffle(&mut rng);
                 order.sort_by_key(|&i| ranks[i]);
-                let mut tape = Tape::new();
+                tape.reset();
                 let mut binder = Binder::for_training(&mut tape, &self.params);
-                let repr = self.encoder.forward(&mut binder, &self.cache, &archs)?;
+                let repr = match &rows {
+                    Some(rows) => gather_leaf(&mut binder, rows, batch),
+                    None => {
+                        let archs: Vec<Architecture> =
+                            batch.iter().map(|&i| samples[i].arch.clone()).collect();
+                        self.encoder.forward(&mut binder, &self.cache, &archs)?
+                    }
+                };
                 let score = self.head.forward(&mut binder, repr, &mut rng)?;
                 let tape_ref = binder.tape();
                 let loss = tape_ref.list_mle(score, &order)?;
                 let loss = tape_ref.scale(loss, 1.0 / batch.len() as f32);
-                let mut grads = binder.finish(loss)?;
-                if freeze_encoders {
-                    for g in grads.iter_mut().take(self.encoder_param_count) {
-                        *g = None;
-                    }
-                }
+                let grads = binder.finish(loss)?;
                 optimizer.step(&mut self.params, &grads);
             }
         }
@@ -188,10 +200,9 @@ impl ScalableHwPrNas {
     #[cfg(test)]
     pub(crate) fn encoder_snapshot(&self) -> Vec<hwpr_tensor::Matrix> {
         self.params
-            .ids()
-            .into_iter()
-            .take(self.encoder_param_count)
-            .map(|id| self.params.get(id).clone())
+            .iter()
+            .filter(|(_, name, _)| name.starts_with("enc."))
+            .map(|(_, _, value)| value.clone())
             .collect()
     }
 }
@@ -228,6 +239,7 @@ mod tests {
         let mut model =
             ScalableHwPrNas::fit(&d, &ModelConfig::tiny(), &TrainConfig::tiny()).unwrap();
         let before = model.encoder_snapshot();
+        assert!(!before.is_empty());
         model.extend_to_three_objectives(&d, 2, 0).unwrap();
         let after = model.encoder_snapshot();
         assert_eq!(before, after, "encoder parameters moved during fine-tune");

@@ -48,6 +48,15 @@ fn class_of(len: usize) -> usize {
     len.next_power_of_two().trailing_zeros() as usize
 }
 
+/// The class a buffer of capacity `cap > 0` is filed under: the largest
+/// class it fully holds (floor of log2), so every take from that class
+/// fits without reallocating. The pool's own buffers have power-of-two
+/// capacities, for which this equals [`class_of`].
+#[inline]
+fn class_held(cap: usize) -> usize {
+    cap.ilog2() as usize
+}
+
 impl BufferPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
@@ -110,13 +119,16 @@ impl BufferPool {
         }
     }
 
-    /// Returns a raw buffer to its capacity-class bucket.
+    /// Returns a raw buffer to the bucket of the largest capacity class it
+    /// fully holds. A buffer built outside the pool (any capacity) is
+    /// filed below its length's class rather than above it, so a later
+    /// take never pops a buffer too small for it.
     pub fn put_raw(&mut self, buf: Vec<f32>) {
         let cap = buf.capacity();
         if cap == 0 {
             return;
         }
-        let class = class_of(cap.min(1 << (CLASSES - 1)));
+        let class = class_held(cap).min(CLASSES - 1);
         if self.buckets.len() <= class {
             self.buckets.resize_with(class + 1, Vec::new);
         }
@@ -215,6 +227,32 @@ mod tests {
         let empty = pool.take(0, 3); // zero-sized: not counted
         pool.put(empty);
         assert_eq!(pool.reuse_hits() + pool.reuse_misses(), 2);
+    }
+
+    #[test]
+    fn a_foreign_buffer_is_filed_under_the_class_it_holds() {
+        let mut pool = BufferPool::new();
+        pool.put_raw(Vec::with_capacity(100));
+        // 120 elements need class 7 (128): the 100-slot buffer must not
+        // serve it
+        assert!(pool.take_raw(120).capacity() >= 120);
+        assert_eq!(pool.reuse_hits(), 0);
+        // 64 elements (class 6) fit in it
+        let m = pool.take(8, 8);
+        assert_eq!(m.len(), 64);
+        assert_eq!(pool.reuse_hits(), 1);
+        assert_eq!(pool.parked(), 0);
+    }
+
+    #[test]
+    fn class_held_matches_class_of_on_powers_of_two() {
+        for class in 0..CLASSES {
+            assert_eq!(class_held(1 << class), class);
+            assert_eq!(class_of(1 << class), class);
+        }
+        assert_eq!(class_held(100), 6);
+        assert_eq!(class_held(127), 6);
+        assert_eq!(class_held(129), 7);
     }
 
     #[test]
